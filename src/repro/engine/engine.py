@@ -34,9 +34,9 @@ pipeline stays available as ``pipeline="reference"``; see
 
 A second, smaller cache covers the *repeated workload* case (same query,
 same database — the serving pattern): for the CDY and Algorithm-1 branches
-the preprocessed enumerator (grounded, reduced, indexed, built with
-incremental reduction state over interned rows) is memoized per
-``(plan, instance)``. Staleness
+the preprocessed enumerator (grounded, reduced and indexed by the fused
+build, with the grounded columns kept so the first delta can build the
+counting reducer) is memoized per ``(plan, instance)``. Staleness
 is decided by exact per-relation version vectors (``(uid, version)``, see
 :mod:`repro.database.relation`) through the invalidation ladder of
 :class:`~repro.engine.cache.PreparedCache`:
@@ -46,8 +46,10 @@ is decided by exact per-relation version vectors (``(uid, version)``, see
 * **delta apply** — the instance was mutated through the versioned relation
   mutators: the net deltas are replayed into the cached enumerator's
   preprocessing (grounding filter → incremental reducer → index patches) in
-  O(|Δ|-affected state), not a rebuild. This closes the old fingerprint's
-  blind spot: a same-cardinality in-place swap is just another delta;
+  O(|Δ|-affected state), not a rebuild (the first delta after a cold build
+  also pays, once, for building the counting reducer). This closes the old
+  fingerprint's blind spot: a same-cardinality in-place swap is just
+  another delta;
 * **rebase** — a relation was replaced wholesale or outran its bounded delta
   log: preprocessing is rebuilt from scratch.
 
@@ -70,8 +72,8 @@ provides (see :class:`~repro.serving.manager.SessionManager`). With
 ``workers > 1`` cold preprocessing additionally shards across a worker
 pool (:mod:`repro.yannakakis.parallel`): fresh non-incremental builds run
 the full parallel pipeline, and incremental (prepared/serving) builds —
-whose reduction must stay on the counting reducer for delta maintenance —
-distribute their grounding/interning stage.
+which keep their grounded columns for the counting reducer — distribute
+their grounding/interning stage.
 """
 
 from __future__ import annotations
@@ -259,6 +261,29 @@ def _conjoin(cqs: "Iterable[CQ]", head: tuple[Var, ...]) -> CQ:
     return CQ(tuple(head), tuple(atoms), name=name)
 
 
+def _patched_terms(terms: dict, deltas) -> dict:
+    """The union-count terms that survive the net *deltas*, patched.
+
+    Enumerator terms take the deltas in place; naive counts are dropped
+    (recounted on demand), and so is every term when *deltas* is ``None``
+    (no usable history: rebuild from the current instance).
+    """
+    if deltas is None:
+        return {}
+    kept = {}
+    for subset, term in terms.items():
+        if isinstance(term, int):
+            continue
+        try:
+            term.apply_deltas(deltas)
+        except Exception:
+            # a failed patch leaves the term half-applied (and poisoned);
+            # dropping it makes the caller rebuild it from the current data
+            continue
+        kept[subset] = term
+    return kept
+
+
 class Engine:
     """A thread-safe query engine with an isomorphism-keyed plan cache."""
 
@@ -308,8 +333,9 @@ class Engine:
         # benign (worst case: a duplicate check), entries are immutable.
         self._fd_rescues: dict = {}
         self._fd_checks: dict = {}
-        # union counting memo: (plan, instance) -> version-fenced
-        # inclusion-exclusion intersection terms (see Engine.count)
+        # union counting state: (plan, instance) -> (version vector,
+        # delta-patched inclusion-exclusion intersection terms); see
+        # Engine._union_count
         self._count_terms: dict = {}
         # the engine-owned shard pool, created lazily on the first
         # parallel build and reused for every one after (pool construction
@@ -595,10 +621,11 @@ class Engine:
         counts by inclusion-exclusion — each intersection is a
         conjunction CQ (members' existentials renamed apart) counted by
         CDY when free-connex, naively otherwise — with the intersection
-        terms memoized per ``(plan, instance)`` behind a version-vector
-        fence. The Theorem-12 and naive branches materialize (there is
-        no known counting shortcut for them), and the naive branch first
-        tries the same FD-aware plan rescue as :meth:`execute`.
+        terms kept per ``(plan, instance)`` and delta-patched when the
+        version vector moves. The Theorem-12 and naive branches
+        materialize (there is no known counting shortcut for them), and
+        the naive branch first tries the same FD-aware plan rescue as
+        :meth:`execute`.
         """
         plan, rel_map, identity_rels, order, perm = self._route(ucq)
         self.stats.add(counts=1)
@@ -651,53 +678,68 @@ class Engine:
 
         Member counts come from each member's CDY counting DP; every
         subset intersection of two or more members is a conjunction CQ
-        counted via :meth:`_count_conjunction` and memoized per
-        ``(plan, instance)`` under the instance's version vector (the
+        whose term (:meth:`_conjunction_term`) is kept per
+        ``(plan, instance)`` with the instance's version vector (the
         readdressed *inst* shares relation objects with the submitted
-        *instance*, so the vector fences both).
+        *instance*, so the vector fences both). When the vector moves,
+        the net deltas since the stored vector are applied to every
+        enumerator term, as the prepared cache does for the members; a
+        term is rebuilt only when that history is unusable or its patch
+        raises. The terms never go through the prepared cache, so a count
+        never registers there as a miss or a rebase.
         """
         cqs = plan.normalized.cqs
         total = sum(m.count_answers() for m in members)
         if len(cqs) < 2:
             return total
         key = (id(plan), id(instance))
-        vector = inst.version_vector(plan.ucq.schema)
-        cached = self._count_terms.get(key)
-        if cached is not None and cached[0] == vector:
-            terms = cached[1]
-        else:
-            terms = {}
-            if len(self._count_terms) >= 64:
+        head = plan.normalized.head
+        # one caller per key at a time: patching a term twice with the
+        # same delta would corrupt it
+        with self._prep_locks.acquire(("count",) + key):
+            vector = inst.version_vector(plan.ucq.schema)
+            cached = self._count_terms.get(key)
+            if cached is None:
+                terms: dict = {}
+            elif cached[0] == vector:
+                terms = cached[1]
+            else:
+                terms = _patched_terms(cached[1], inst.diff_since(cached[0]))
+            if cached is None and len(self._count_terms) >= 64:
                 self._count_terms.clear()
             self._count_terms[key] = (vector, terms)
-        head = plan.normalized.head
-        for r in range(2, len(cqs) + 1):
-            sign = 1 if r % 2 else -1
-            for subset in combinations(range(len(cqs)), r):
-                value = terms.get(subset)
-                if value is None:
-                    value = self._count_conjunction(
-                        [cqs[i] for i in subset], head, inst
-                    )
-                    terms[subset] = value
-                total += sign * value
+            for r in range(2, len(cqs) + 1):
+                sign = 1 if r % 2 else -1
+                for subset in combinations(range(len(cqs)), r):
+                    term = terms.get(subset)
+                    if term is None:
+                        term = self._conjunction_term(
+                            [cqs[i] for i in subset], head, inst
+                        )
+                        terms[subset] = term
+                    if not isinstance(term, int):
+                        term = term.count_answers()
+                    total += sign * term
         return total
 
-    def _count_conjunction(
-        self, cqs: "list[CQ]", head: tuple[Var, ...], inst: Instance
-    ) -> int:
-        """Count the conjunction of *cqs* (identical free-variable sets).
+    @staticmethod
+    def _conjunction_term(
+        cqs: "list[CQ]", head: tuple[Var, ...], inst: Instance
+    ) -> "CDYEnumerator | int":
+        """The inclusion-exclusion term for the conjunction of *cqs*
+        (identical free-variable sets).
 
         The members' existentials are renamed apart, so an assignment of
         the shared free variables satisfies the conjunction iff it is an
-        answer of every member. Free-connex conjunctions count through
-        the CDY DP; the rest evaluate naively (intersections are no
-        larger than the smallest member, so this stays proportional to
-        work :meth:`execute` would do anyway).
+        answer of every member. A free-connex conjunction becomes an
+        incremental CDY enumerator (counted by its DP, patched under
+        deltas by :func:`_patched_terms`); the rest are counted naively
+        (intersections are no larger than the smallest member, so this
+        stays proportional to work :meth:`execute` would do anyway).
         """
         conj = _conjoin(cqs, head)
         if conj.is_free_connex:
-            return CDYEnumerator(conj, inst).count_answers()
+            return CDYEnumerator(conj, inst, incremental=True)
         return len(evaluate_cq(conj, inst))
 
     # ------------------------------------------------------------------ #
@@ -767,8 +809,10 @@ class Engine:
         """Fresh preprocessing for the CDY / Algorithm-1 branches.
 
         Runs the fused interned cold pipeline (the :class:`CDYEnumerator`
-        default); in incremental mode the reduction state is the counting
-        reducer over interned rows, fed by the same columnar grounding.
+        default). In incremental mode (the prepared cache's builds) the
+        cold build is the same fused one, and the grounded columns are
+        kept: the first delta builds the counting reducer from them, so
+        a query that is never updated never pays for it.
         Every build carries the engine's recovery context (retry/rebuild/
         fallback bookkeeping) and the caller's *deadline*, which rides
         the build's tick seam only — the enumerator itself outlives it.
@@ -776,10 +820,10 @@ class Engine:
         normalized = plan.normalized
         trees = plan.ext_trees or (None,) * len(normalized.cqs)
         # the full sharded pipeline covers fresh cold builds; incremental
-        # builds need the counting reducer's unreduced bases, so they
-        # parallelize only their grounding stage (CDYEnumerator handles
-        # that off the `workers` argument); step-counted runs measure the
-        # canonical fused tick pattern
+        # builds keep their grounded columns for the counting reducer, so
+        # they parallelize only their grounding stage (CDYEnumerator
+        # handles that off the `workers` argument); step-counted runs
+        # measure the canonical fused tick pattern
         parallel_ok = self.workers > 1 and self.backend.kind != SERIAL
         pipeline = (
             "parallel"

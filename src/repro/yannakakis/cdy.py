@@ -43,15 +43,22 @@ algorithms rely on:
   homomorphism by walking below the top subtree (the extension step inside
   Lemma 8).
 
-With ``incremental=True`` the preprocessing is built on
-:class:`~repro.yannakakis.reducer.IncrementalReducer` and the enumerator
-gains :meth:`CDYEnumerator.apply_deltas`: base-relation ``(adds, removes)``
-are mapped through grounding, interned at the boundary (the whole reduction
-state lives in id space), propagated through the reduction state, and
-patched into the enumeration and extension indexes — O(|Δ| + affected
-groups) instead of a rebuild, answering the dynamic-setting requirement
-that preprocessing survive updates. Membership probes share the reducer's
-final row sets directly, so they need no maintenance at all.
+With ``incremental=True`` the enumerator gains
+:meth:`CDYEnumerator.apply_deltas`. The cold build is still the fused one —
+a query that is never updated never pays for counting state — but the
+grounded id columns are kept. The *first* :meth:`~CDYEnumerator.apply_deltas`
+builds :class:`~repro.yannakakis.reducer.IncrementalReducer` from those
+columns (the base exactly as it was at build time), rebuilds the walk and
+extension indexes and the membership probes from the reducer's final rows,
+drops the columns, and only then applies the delta. From then on
+base-relation ``(adds, removes)`` are mapped through grounding, interned at
+the boundary (the whole reduction state lives in id space), propagated
+through the reduction state, and patched into the enumeration and extension
+indexes — O(|Δ| + affected groups) instead of a rebuild, answering the
+dynamic-setting requirement that preprocessing survive updates. Membership
+probes share the reducer's final row sets directly, so they need no
+maintenance at all. The reducer build is a one-off cost of the first delta,
+a few times the fused build itself.
 """
 
 from __future__ import annotations
@@ -296,12 +303,14 @@ class CDYEnumerator:
     representation differs, so cross-pipeline state comparisons go through
     :meth:`node_rows`.
 
-    ``incremental`` builds the reduction on an
-    :class:`~repro.yannakakis.reducer.IncrementalReducer` (over interned
-    rows; ``pipeline`` is ignored, though ``workers > 1`` still shards
-    the grounding stage) so later :meth:`apply_deltas` calls can
-    maintain the preprocessed state in place. Applying deltas invalidates
-    any in-flight iterator over this enumerator. ``executor`` lets a
+    ``incremental`` lets later :meth:`apply_deltas` calls maintain the
+    preprocessed state in place. The cold build runs the fused pipeline
+    (``pipeline`` is ignored, though ``workers > 1`` still shards the
+    grounding stage) and keeps the grounded id columns; the first
+    :meth:`apply_deltas` builds the
+    :class:`~repro.yannakakis.reducer.IncrementalReducer` from them. Applying
+    deltas invalidates any in-flight iterator over this enumerator.
+    ``executor`` lets a
     long-lived caller (the engine) supply a reusable worker pool instead
     of paying pool construction per build; it is never shut down here.
 
@@ -391,11 +400,12 @@ class CDYEnumerator:
         elif interned:
             self.interner = Interner()
             if incremental and workers > 1 and counter is None:
-                # the incremental reduction must stay on the counting
-                # reducer (deltas can revive batch-discarded rows), but
-                # its grounding/interning stage still distributes across
-                # shards — this is what `workers` parallelizes on the
-                # serving cold path
+                # an incremental build keeps its grounded columns for the
+                # counting reducer the first delta builds, so it cannot
+                # run the sharded reducer (which never materializes them
+                # in one place); its grounding/interning stage still
+                # distributes across shards — this is what `workers`
+                # parallelizes on the serving cold path
                 from .parallel import parallel_ground_columnar
 
                 grounded = parallel_ground_columnar(
@@ -435,22 +445,26 @@ class CDYEnumerator:
         #: column permutations; entries are (epoch, levels) and stale
         #: epochs are dropped lazily
         self._ordered_cache: dict[tuple, tuple[int, list]] = {}
+        #: whether :meth:`apply_deltas` is supported (``incremental=True``)
+        self.incremental = incremental
+        #: the counting reducer, built by the first :meth:`apply_deltas`
         self._reducer: IncrementalReducer | None = None
+        #: an incremental build's grounded id columns, kept until the
+        #: first :meth:`apply_deltas` builds the reducer from them
+        self._grounded: list | None = None
         self.relations: dict[int, NodeRelation] = {}
         self.plans: list[_TopNodePlan] = []
         self._extension_plan: list[
             tuple[int, tuple[Var, ...], tuple[Var, ...], GroupIndex]
         ] = []
         # per top node: (variable order of the probed rows, row set); the
-        # membership structures contains() checks. Reference/incremental
-        # modes alias node rows (value / id space); fused mode builds
+        # membership structures contains() checks. Reference mode and the
+        # reducer alias node rows (value / id space); fused mode builds
         # decoded key+residual rows
         self._membership_info: list[tuple[tuple[Var, ...], set]] = []
 
         if prebuilt_reduction is not None:
             self._adopt_reduction(prebuilt_reduction, build_counter)
-        elif incremental:
-            self._build_incremental(grounded, build_counter)
         elif parallel:
             self._build_parallel(
                 instance, workers, pool, executor, build_counter,
@@ -458,35 +472,53 @@ class CDYEnumerator:
             )
         elif interned:
             self._build_fused(grounded, build_counter)
+            if incremental:
+                self._grounded = grounded
         else:
             self._build_reference(grounded)
+        self._compile()
 
-        # ---- compiled walk: slots, selectors, group maps -------------- #
+    def _compile(self, id_space: bool = False) -> None:
+        """Compile the walk and the membership probes from :attr:`plans`
+        and ``_membership_info``.
+
+        Runs at the end of every build, and again when the first delta
+        replaces the fused state with the reducer's (*id_space*: the
+        membership rows are then interned ids, so :meth:`contains` interns
+        answers first). The probes and their space are published as one
+        attribute, so a concurrent :meth:`contains` sees either state whole.
+        """
         # one slot per S-variable, in order of first introduction
         slot_of: dict[Var, int] = {}
         for plan in self.plans:
             for v in plan.new_vars:
                 slot_of[v] = len(slot_of)
-        self._slot_vars: tuple[Var, ...] = tuple(slot_of)
         # per level: (key selector from slots | None, target slots, groups)
-        self._levels: list[tuple] = []
+        levels: list[tuple] = []
         for plan in self.plans:
             bound_slots = tuple(slot_of[v] for v in plan.bound_vars)
             target_slots = tuple(slot_of[v] for v in plan.new_vars)
             key_fn = tuple_selector(bound_slots) if bound_slots else None
-            self._levels.append((key_fn, target_slots, plan.index.groups))
-        out_slots = tuple(slot_of[v] for v in self.output_order)
-        self._out_fn = tuple_selector(out_slots)
+            levels.append((key_fn, target_slots, plan.index.groups))
+        self._slot_vars: tuple[Var, ...] = tuple(slot_of)
+        self._out_fn = tuple_selector(
+            tuple(slot_of[v] for v in self.output_order)
+        )
+        self._levels = levels
 
         # membership selectors for contains(): answer tuple -> probed row
         answer_pos = {v: i for i, v in enumerate(self.output_order)}
-        self._membership: list[tuple] = [
+        probes = [
             (
                 tuple_selector(tuple(answer_pos[v] for v in row_order)),
                 rows,
             )
             for row_order, rows in self._membership_info
         ]
+        self._membership = (
+            self.interner.ids.get if id_space else None,
+            probes,
+        )
 
     # ------------------------------------------------------------------ #
     # build paths
@@ -668,18 +700,25 @@ class CDYEnumerator:
             )
             self._extension_plan.append((nid, bound, new, index))
 
-    def _build_incremental(self, grounded: list, counter) -> None:
-        """Interned rows + counting reducer; top indexes decoded at the end.
+    def _materialize_reducer(self) -> None:
+        """Swap the fused state for the counting reducer's (first delta).
 
         The reducer needs the *unreduced* atom bases (deltas can revive
-        rows the batch sweeps would discard), so the fused reduction is not
-        reused here; grounding and materialization still run columnar and
-        the whole reduction state lives in id space — deltas are interned
-        at the boundary (:meth:`apply_deltas`).
+        rows the batch sweeps discarded), so it is built from the kept
+        grounded columns — the base exactly as it was at build time — and
+        the whole reduction state lives in id space: deltas are interned
+        at the boundary (:meth:`apply_deltas`). The walk and extension
+        indexes are rebuilt from the reducer's final rows rather than
+        adopted from the fused groups, whose residual-free groups share
+        one immutable residual tuple and so cannot be patched in place.
+        Everything is built aside and published at the end; a failure
+        leaves the fused state and the kept columns untouched.
         """
+        grounded = self._grounded
+        relations: dict[int, NodeRelation] = {}
         for nid in sorted(self.tree.nodes):
             node = self.tree.nodes[nid]
-            node_vars = tuple(sorted(node.vars, key=str))
+            node_vars = self.relations[nid].vars
             if node.kind == ATOM:
                 g = grounded[node.atom_index]
                 if g.vars:
@@ -687,50 +726,59 @@ class CDYEnumerator:
                     rows = set(zip(*cols))
                 else:
                     rows = {()} if g.row_count else set()
-                self.counter.tick(g.row_count)
             else:
                 # the reducer derives projection-node bases itself (it
                 # needs the per-projection support counts anyway)
                 rows = set()
-            self.relations[nid] = NodeRelation(node_vars, rows)
-        self._reducer = IncrementalReducer(self.tree, self.relations, counter)
+            relations[nid] = NodeRelation(node_vars, rows)
+        reducer = IncrementalReducer(self.tree, relations, self.counter)
         # alias each node relation to the reducer's reduced rows: delta
         # application then keeps relations (and membership) current in place
-        for nid, rel in self.relations.items():
-            rel.rows = self._reducer.final[nid]
-        self.nonempty = self._reducer.nonempty
-        self._atom_node = {
+        for nid, rel in relations.items():
+            rel.rows = reducer.final[nid]
+        atom_node = {
             node.atom_index: nid
             for nid, node in self.tree.nodes.items()
             if node.kind == ATOM
         }
-        self._delta_mappers = []
+        delta_mappers = []
         for index, (atom, g) in enumerate(zip(self.cq.atoms, grounded)):
-            node_rel = self.relations[self._atom_node[index]]
+            node_rel = relations[atom_node[index]]
             permute = tuple_selector(
                 tuple(g.vars.index(v) for v in node_rel.vars)
             )
-            self._delta_mappers.append((atom_row_mapper(atom)[0], permute))
+            delta_mappers.append((atom_row_mapper(atom)[0], permute))
 
         values = self.interner.values
-        tick = tick_or_none(counter)
+        plans: list[_TopNodePlan] = []
+        extension_plan: list = []
+        membership_info: list[tuple[tuple[Var, ...], set]] = []
         for nid, bound, new in self._plan_splits():
-            rel = self.relations[nid]
+            rel = relations[nid]
             index = self._decode_grouped(rel, bound, new, values)
-            if tick is not None:
-                tick(len(rel.rows))
             # membership probes the reducer's final rows themselves (id
             # space, answer interned at the boundary): no maintenance
-            self._membership_info.append((rel.vars, rel.rows))
-            self.plans.append(_TopNodePlan(nid, bound, new, index))
+            membership_info.append((rel.vars, rel.rows))
+            plans.append(_TopNodePlan(nid, bound, new, index))
         for nid, bound, new in self._extension_splits():
-            rel = self.relations[nid]
+            rel = relations[nid]
             index = GroupIndex(
                 rel.rows, rel.positions_of(bound), rel.positions_of(new)
             )
-            if tick is not None:
-                tick(len(rel.rows))
-            self._extension_plan.append((nid, bound, new, index))
+            extension_plan.append((nid, bound, new, index))
+
+        # publish: each attribute swap is atomic, and _compile publishes
+        # the walk and the membership probes (with their space) whole
+        self.relations = relations
+        self.plans = plans
+        self._extension_plan = extension_plan
+        self._membership_info = membership_info
+        self._compile(id_space=True)
+        self.nonempty = reducer.nonempty
+        self._atom_node = atom_node
+        self._delta_mappers = delta_mappers
+        self._reducer = reducer
+        self._grounded = None
 
     @staticmethod
     def _decode_grouped(
@@ -958,10 +1006,11 @@ class CDYEnumerator:
         """O(1) test whether *answer* (in output order) is in Q(I)|S."""
         if not self.nonempty or len(answer) != len(self.output_order):
             return False
-        if self._reducer is not None:
-            # incremental state probes id rows: intern at the boundary (a
+        # one read: the probes and the space they live in come together
+        id_of, probes = self._membership
+        if id_of is not None:
+            # the reducer's state probes id rows: intern at the boundary (a
             # value the interner never saw occurs in no relation)
-            id_of = self.interner.ids.get
             ids = []
             for v in answer:
                 i = id_of(v)
@@ -970,7 +1019,7 @@ class CDYEnumerator:
                 ids.append(i)
             answer = tuple(ids)
         tick = self.counter.tick
-        for key_fn, rows in self._membership:
+        for key_fn, rows in probes:
             tick()
             if key_fn(answer) not in rows:
                 return False
@@ -1034,24 +1083,35 @@ class CDYEnumerator:
         """Maintain the preprocessed state under base-relation changes.
 
         *deltas* maps relation symbols to net ``(adds, removes)`` of base
-        tuples (the shape :meth:`Instance.diff_since` produces). Each delta
-        is grounded per atom (constants/repeated variables filter, then the
-        injective projection), interned into the enumerator's id space,
-        pushed through the incremental reducer, and patched into the
-        enumeration indexes (decoded — the walk structures never see ids)
-        and the id-space extension indexes. Membership probes alias the
-        reducer's final row sets, so they update automatically. Requires
-        ``incremental=True`` at construction. In-flight iterators over this
-        enumerator are invalidated: their next step raises
-        :class:`EnumerationError` instead of mixing pre- and post-update
-        state.
+        tuples (the shape :meth:`Instance.diff_since` produces). Requires
+        ``incremental=True`` at construction.
+
+        The first call that touches one of the query's relations first
+        builds the counting reducer from the grounded columns the cold
+        build kept, rebuilds the walk indexes, extension indexes and
+        membership probes from its final rows, and drops the columns —
+        a one-off cost of a few fused builds.
+        Then (and on every later call) each delta is grounded per atom
+        (constants/repeated variables filter, then the injective
+        projection), interned into the enumerator's id space, pushed
+        through the incremental reducer, and patched into the enumeration
+        indexes (decoded — the walk structures never see ids) and the
+        id-space extension indexes. Membership probes alias the reducer's
+        final row sets, so they update automatically. In-flight iterators
+        over this enumerator are invalidated, even when the call raises:
+        their next step raises :class:`EnumerationError` instead of mixing
+        pre- and post-update state.
         """
-        if self._reducer is None:
+        if not self.incremental:
             raise EnumerationError(
                 "CDYEnumerator was built without incremental=True; "
                 "rebuild instead of applying deltas"
             )
         try:
+            if self._reducer is None:
+                if not any(deltas.get(a.relation) for a in self.cq.atoms):
+                    return  # nothing for this query: the build stays exact
+                self._materialize_reducer()
             self._apply_deltas(deltas)
         finally:
             # bump even on failure: a half-patched enumerator must make
@@ -1255,7 +1315,7 @@ class CDYEnumerator:
         """Product of top-node sizes (a cheap upper bound on |Q(I)|S|).
 
         For the exact count use :meth:`count_answers`; this bound costs
-        O(#nodes) on incremental builds (the reducer tracks final sizes)
+        O(#nodes) once the counting reducer exists (it tracks final sizes)
         and never allocates.
         """
         bound = 1

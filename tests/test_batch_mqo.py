@@ -293,10 +293,12 @@ def test_fragment_adopted_enumerators_rebase_instead_of_delta():
     engine = Engine()
     prepared = engine.prepare_many(shapes, instance)
     assert engine.stats.fragment_builds > 0
+    # every prepared enumerator is incremental except the ones built
+    # through the prebuilt_reduction seam (which forces incremental=False)
     adopted = [
         p
         for p in prepared
-        if p.resumable and getattr(p.enumerator, "_reducer", None) is None
+        if p.resumable and not getattr(p.enumerator, "incremental", True)
     ]
     assert adopted, "batch produced no fragment-adopted enumerators"
     # the seam itself refuses delta maintenance...

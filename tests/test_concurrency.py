@@ -195,6 +195,93 @@ def test_engine_concurrent_prepared_misses_build_once():
     assert engine.stats.prep_hits == 7
 
 
+def test_contains_during_the_first_delta_sees_one_state(monkeypatch):
+    """The first apply_deltas swaps value-space membership probes for the
+    reducer's id-space ones. A reader at any step of the swap — probed
+    here from inside it, once the reducer is built and once the walk and
+    probes are recompiled — sees one state whole: value answers are
+    never probed against id rows."""
+    import repro.yannakakis.cdy as cdy
+
+    ucq = parse_ucq("Q(x, y) <- R(x, y), S(y, z), T(z, w)")
+    ints = random_instance_for(ucq, n_tuples=300, domain_size=30, seed=4)
+    # string values: small ints could coincide with their interned ids
+    instance = Instance.from_dict(
+        {
+            symbol: [tuple(f"v{x}" for x in t) for t in rel.tuples]
+            for symbol, rel in ints.relations.items()
+        }
+    )
+    answers = sorted(evaluate_ucq(ucq, instance))
+    absent = ("absent", "row")
+    enum = CDYEnumerator(ucq.cqs[0], instance, incremental=True)
+    steps: list[str] = []
+
+    def check(step: str) -> None:
+        steps.append(step)
+        assert all(enum.contains(a) for a in answers), step
+        assert not enum.contains(absent), step
+
+    real_reducer = cdy.IncrementalReducer
+    real_compile = enum._compile
+
+    def reducer(*args, **kwargs):
+        built = real_reducer(*args, **kwargs)
+        check("reducer built")
+        return built
+
+    def compile_(*args, **kwargs):
+        real_compile(*args, **kwargs)
+        check("recompiled")
+
+    monkeypatch.setattr(cdy, "IncrementalReducer", reducer)
+    monkeypatch.setattr(enum, "_compile", compile_)
+    # a dangling R row: the base changes, the answers do not
+    enum.apply_deltas({"R": ({absent}, set())})
+    assert steps == ["reducer built", "recompiled"]
+    assert enum._reducer is not None
+    check("published")
+
+
+def test_union_count_racing_a_patch_waits_for_it(monkeypatch):
+    """A count arriving while another count patches the shared
+    intersection term waits for that patch instead of applying the same
+    delta a second time."""
+    ucq = parse_ucq(
+        "Q1(x, y) <- R(x, y), S(y, z) ; Q2(x, y) <- R(x, y), T(y, w)"
+    )
+    instance = random_instance_for(ucq, n_tuples=300, domain_size=30, seed=5)
+    engine = Engine()
+    engine.count(ucq, instance)
+    ((_vector, terms),) = engine._count_terms.values()
+    term = terms[(0, 1)]
+    real_apply = term.apply_deltas
+    applies: list = []
+    results: list[int] = []
+    racers: list[threading.Thread] = []
+
+    def apply_deltas(deltas) -> None:
+        applies.append(deltas)
+        if not racers:
+            racer = threading.Thread(
+                target=lambda: results.append(engine.count(ucq, instance))
+            )
+            racers.append(racer)
+            racer.start()
+            time.sleep(0.05)  # long enough for the racer to reach the term
+        real_apply(deltas)
+
+    monkeypatch.setattr(term, "apply_deltas", apply_deltas)
+    instance.get("R").apply_batch([(31, 32), (32, 33)], [])
+    instance.get("S").apply_batch([(32, 1)], [])
+    expected = len(evaluate_ucq(ucq, instance))
+    results.append(engine.count(ucq, instance))
+    racers[0].join(timeout=30)
+    assert not racers[0].is_alive()
+    assert results == [expected, expected]
+    assert len(applies) == 1
+
+
 # --------------------------------------------------------------------- #
 # partitioning + shard-merge differentials
 

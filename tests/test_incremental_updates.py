@@ -306,6 +306,123 @@ def test_failed_apply_deltas_poisons_in_flight_iterators():
         list(it)
 
 
+def test_cold_incremental_build_defers_the_reducer():
+    """incremental=True serves the fused build; the counting reducer only
+    appears with the first delta that touches the query."""
+    ucq = parse_ucq(CDY_QUERIES[0])
+    cq = ucq.cqs[0]
+    instance = random_instance_for(ucq, n_tuples=60, domain_size=9, seed=4)
+    enum = CDYEnumerator(cq, instance, incremental=True)
+    assert enum.incremental and enum._reducer is None
+    assert enum._grounded is not None
+    assert set(enum) == set(CDYEnumerator(cq, instance))
+    enum.apply_deltas({"Unrelated": ({(1,)}, set())})
+    assert enum._reducer is None  # no delta for this query: nothing built
+    enum.apply_deltas({"R": ({(91, 92)}, set())})
+    assert enum._reducer is not None and enum._grounded is None
+
+
+def _non_members(answers, arity, domain, rng):
+    """Probe tuples that are not answers, including a never-seen value."""
+    out = [(-1,) * arity]
+    for _ in range(50):
+        t = tuple(rng.randrange(domain) for _ in range(arity))
+        if t not in answers:
+            out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("query", CDY_QUERIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_first_deltas_match_a_fresh_build(query, seed, workers):
+    """After the first delta (which builds the reducer from the kept
+    columns) and after the second (a plain patch), node rows, answers,
+    count and membership equal a fresh build over the current data."""
+    rng = random.Random(f"first-deltas#{query}#{seed}")
+    ucq = parse_ucq(query)
+    cq = ucq.cqs[0]
+    symbols = sorted(cq.schema)
+    instance = random_instance_for(ucq, n_tuples=60, domain_size=9, seed=seed)
+    enum = CDYEnumerator(
+        cq, instance, incremental=True, workers=workers, pool="thread"
+    )
+    for _ in range(2):
+        deltas = {}
+        while not deltas:
+            deltas = _mutate_instance(instance, symbols, rng, domain=9)
+        enum.apply_deltas(deltas)
+        assert enum._reducer is not None
+        fresh = CDYEnumerator(cq, instance)
+        assert enum.nonempty == fresh.nonempty
+        for nid in fresh.relations:
+            assert enum.node_rows(nid) == fresh.node_rows(nid)
+        answers = set(enum)
+        assert answers == set(fresh)
+        assert enum.count_answers() == fresh.count_answers() == len(answers)
+        assert all(enum.contains(a) for a in answers)
+        for probe in _non_members(answers, len(cq.head), 9, rng):
+            assert not enum.contains(probe)
+
+
+def test_failed_materialization_bumps_epoch_and_engine_rebases(monkeypatch):
+    """A reducer build that raises on the first delta still fences
+    in-flight iterators, and the engine rebases instead of serving it."""
+    import repro.yannakakis.cdy as cdy
+
+    class BrokenReducer:
+        def __init__(self, *args, **kwargs):
+            raise RuntimeError("reducer build failed")
+
+    ucq = parse_ucq(CDY_QUERIES[0])
+    instance = random_instance_for(ucq, n_tuples=60, domain_size=6, seed=8)
+    engine = Engine()
+    assert set(engine.execute(ucq, instance)) == evaluate_ucq(ucq, instance)
+    enum = CDYEnumerator(ucq.cqs[0], instance, incremental=True)
+    it = iter(enum)
+    next(it)
+    epoch = enum._epoch
+    monkeypatch.setattr(cdy, "IncrementalReducer", BrokenReducer)
+    with pytest.raises(RuntimeError):
+        enum.apply_deltas({"R": ({(99, 98)}, set())})
+    assert enum._epoch == epoch + 1
+    assert enum._reducer is None and enum._grounded is not None
+    with pytest.raises(Exception, match="mutated"):
+        list(it)
+
+    instance.get("R").add((99, 98))
+    instance.get("S").add((98, 97))
+    assert set(engine.execute(ucq, instance)) == evaluate_ucq(ucq, instance)
+    assert engine.stats.rebases == 1
+    assert engine.stats.delta_applies == 0
+    assert engine.stats.prep_misses == 2
+
+
+def test_union_count_patches_intersection_terms():
+    """Theorem-4 union counts stay exact under a delta sequence, and the
+    intersection term is delta-patched in place, never rebuilt."""
+    rng = random.Random("union-count-terms")
+    ucq = parse_ucq(
+        "Q1(x, y) <- R(x, y), S(y, z) ; Q2(x, y) <- R(x, y), T(y, w)"
+    )
+    symbols = sorted(ucq.schema)
+    instance = random_instance_for(ucq, n_tuples=80, domain_size=10, seed=6)
+    engine = Engine()
+    assert engine.plan(ucq).kind.name == "UNION_TRACTABLE"
+    assert engine.count(ucq, instance) == len(evaluate_ucq(ucq, instance))
+    ((_vector, terms),) = engine._count_terms.values()
+    term = terms[(0, 1)]
+    assert isinstance(term, CDYEnumerator) and term._reducer is None
+    for _ in range(ENGINE_ROUNDS):
+        _mutate_instance(instance, symbols, rng, domain=10)
+        assert engine.count(ucq, instance) == len(evaluate_ucq(ucq, instance))
+        ((_vector, terms),) = engine._count_terms.values()
+        assert terms[(0, 1)] is term
+    assert term._reducer is not None  # patched, not rebuilt
+    assert engine.stats.rebases == 0
+    assert engine.stats.prep_misses == 1
+
+
 def test_engine_rebases_on_out_of_band_size_change():
     """Editing Relation.tuples directly bypasses the log; the cardinality
     entry in the version vector must force a rebase, not stale answers."""

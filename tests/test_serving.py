@@ -511,17 +511,21 @@ def test_http_server_end_to_end():
         )
         assert code == 201 and opened["resumable"]
         sid = opened["session"]
+        # enumeration order is unspecified: compare the pages as sets
         code, page = call("GET", f"/sessions/{sid}/page")
-        assert code == 200 and page["answers"] == [[1, 2], [2, 3]]
+        assert code == 200 and len(page["answers"]) == 2
         code, page2 = call("GET", f"/sessions/{sid}/page?size=10")
         assert code == 200 and page2["done"]
-        assert page2["answers"] == [[3, 4]]
+        assert len(page2["answers"]) == 1
+        assert {tuple(a) for a in page["answers"] + page2["answers"]} == {
+            (1, 2), (2, 3), (3, 4)
+        }
 
         # resume from the mid-stream token replays the tail exactly
         code, revived = call("POST", "/resume", {"cursor": page["cursor"]})
         assert code == 200
         code, tail = call("GET", f"/sessions/{revived['session']}/page?size=10")
-        assert code == 200 and tail["answers"] == [[3, 4]]
+        assert code == 200 and tail["answers"] == page2["answers"]
 
         # batch: two isomorphic queries share one plan group
         code, batch = call(

@@ -146,45 +146,31 @@ def _renamed_queries(count: int) -> list[str]:
     ]
 
 
-def bench_batch(
-    n_answers: int, batch_size: int, page_size: int, repeats: int = 3
-) -> dict:
-    """Batched warm opens vs one-query-at-a-time cold engines; gate 5x.
-
-    Both sides are timed *repeats* times (fresh engines / a fresh manager
-    each time) and compared by their medians: at the quick sizes the
-    batched side takes ~50 ms, where one collector pause moves the ratio
-    by a whole unit.
-    """
+def bench_batch(n_answers: int, batch_size: int, page_size: int) -> dict:
+    """Batched warm opens vs one-query-at-a-time cold engines; gate 5x."""
     instance = chain_instance(n_answers)
     queries = _renamed_queries(batch_size)
 
     # cold: a fresh engine per query — classify, plan, preprocess, first page
-    cold_times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for text in queries:
-            engine = Engine()
-            ucq = parse_ucq(text)
-            stream = engine.execute(ucq, instance)
-            for _, _ in zip(range(page_size), stream):
-                pass
-        cold_times.append(time.perf_counter() - start)
-    cold_s = statistics.median(cold_times)
+    start = time.perf_counter()
+    for text in queries:
+        engine = Engine()
+        ucq = parse_ucq(text)
+        stream = engine.execute(ucq, instance)
+        for _, _ in zip(range(page_size), stream):
+            pass
+    cold_s = time.perf_counter() - start
 
     # warm batch: one manager, grouped submit, first page each
-    batch_times = []
-    for _ in range(repeats):
-        manager = SessionManager(page_size=page_size)
-        manager.register(instance, "db")
-        start = time.perf_counter()
-        items = submit_many(
-            manager,
-            [(text, "db") for text in queries],
-            first_page=True,
-        )
-        batch_times.append(time.perf_counter() - start)
-    batch_s = statistics.median(batch_times)
+    manager = SessionManager(page_size=page_size)
+    manager.register(instance, "db")
+    start = time.perf_counter()
+    items = submit_many(
+        manager,
+        [(text, "db") for text in queries],
+        first_page=True,
+    )
+    batch_s = time.perf_counter() - start
 
     assert all(item.ok for item in items), [i.error for i in items]
     assert len({item.group for item in items}) == 1, "expected one plan group"
@@ -217,9 +203,7 @@ def main(argv=None) -> int:
 
     if args.quick:
         n_answers, page_size, resume_reps = 20_000, 500, 9
-        # large enough that preprocessing, the work a batch shares, still
-        # outweighs the per-member open + first page it cannot share
-        batch_n, batch_size = 20_000, 8
+        batch_n, batch_size = 5_000, 8
     else:
         n_answers, page_size, resume_reps = 100_000, 1_000, 15
         batch_n, batch_size = 50_000, 12

@@ -186,7 +186,9 @@ class PreparedCache:
         # same thread already holds the lock
         self._lock = make_lock("cache.prepared", reentrant=True)
 
-    def fetch(self, plan: Plan, instance: Instance) -> tuple[str, object]:
+    def fetch(
+        self, plan: Plan, instance: Instance, view: Instance | None = None
+    ) -> tuple[str, object]:
         """``(outcome, enumerator-or-None)`` for the ladder above.
 
         Dictionary state is read and written under the cache lock; the
@@ -194,7 +196,14 @@ class PreparedCache:
         enumerator, which the engine serializes per ``(plan, instance)``
         with its keyed build locks), so a long delta apply never blocks
         fetches for other keys.
+
+        *view* is the instance the plan's relation names address when
+        that is not *instance* itself (a relation-renamed readdressing
+        sharing its relation objects): version vectors and deltas are
+        read from it, while the entry stays keyed on, and dies with,
+        *instance*.
         """
+        data = instance if view is None else view
         key = (id(plan), id(instance))
         with self._lock:
             entry = self._entries.get(key)
@@ -204,7 +213,7 @@ class PreparedCache:
             if ref() is not instance:  # id reuse after garbage collection
                 self._entries.pop(key, None)
                 return MISS, None
-        current = instance.version_vector(plan.ucq.schema)
+        current = data.version_vector(plan.ucq.schema)
         if current == vector:
             with self._lock:
                 if key not in self._entries:
@@ -215,7 +224,7 @@ class PreparedCache:
                     return REBASE, None
                 self._entries.move_to_end(key)
             return HIT, enum
-        deltas = instance.diff_since(vector)
+        deltas = data.diff_since(vector)
         if deltas is not None:
             try:
                 enum.apply_deltas(deltas)
@@ -261,12 +270,21 @@ class PreparedCache:
             entry = self._entries.get(key)
             return entry is not None and entry[1]() is instance
 
-    def store(self, plan: Plan, instance: Instance, enum: object) -> None:
-        """Memoize *enum* for ``(plan, instance)`` at the instance's
-        current version vector; LRU-evicts beyond ``maxsize``. The
-        instance is held weakly — entries die with their instance."""
+    def store(
+        self,
+        plan: Plan,
+        instance: Instance,
+        enum: object,
+        view: Instance | None = None,
+    ) -> None:
+        """Memoize *enum* for ``(plan, instance)`` at the current version
+        vector (of *view*, when given, as in :meth:`fetch`); LRU-evicts
+        beyond ``maxsize``. The instance is held weakly — entries die
+        with their instance."""
         key = (id(plan), id(instance))
-        vector = instance.version_vector(plan.ucq.schema)
+        vector = (instance if view is None else view).version_vector(
+            plan.ucq.schema
+        )
         try:
             ref = weakref.ref(instance, lambda _r, k=key: self._discard(k))
         except TypeError:  # pragma: no cover - non-weakrefable instance

@@ -261,27 +261,25 @@ def _conjoin(cqs: "Iterable[CQ]", head: tuple[Var, ...]) -> CQ:
     return CQ(tuple(head), tuple(atoms), name=name)
 
 
-def _patched_terms(terms: dict, deltas) -> dict:
-    """The union-count terms that survive the net *deltas*, patched.
+class _CountTerms(dict):
+    """A union plan's inclusion-exclusion intersection terms over one
+    instance, ``{member subset: CDYEnumerator | int}``: the engine's
+    term cache stores it like a prepared enumerator, and the cache's
+    delta rung patches it through :meth:`apply_deltas`."""
 
-    Enumerator terms take the deltas in place; naive counts are dropped
-    (recounted on demand), and so is every term when *deltas* is ``None``
-    (no usable history: rebuild from the current instance).
-    """
-    if deltas is None:
-        return {}
-    kept = {}
-    for subset, term in terms.items():
-        if isinstance(term, int):
-            continue
-        try:
-            term.apply_deltas(deltas)
-        except Exception:
-            # a failed patch leaves the term half-applied (and poisoned);
-            # dropping it makes the caller rebuild it from the current data
-            continue
-        kept[subset] = term
-    return kept
+    def apply_deltas(self, deltas) -> None:
+        """Patch every enumerator term with the net *deltas*; terms that
+        cannot follow are dropped, so the next count rebuilds them."""
+        for subset, term in list(self.items()):
+            if isinstance(term, int):
+                del self[subset]  # a naive count: recounted on demand
+                continue
+            try:
+                term.apply_deltas(deltas)
+            except Exception:
+                # a failed patch leaves the term half-applied (and
+                # poisoned); dropping it rebuilds it from the current data
+                del self[subset]
 
 
 class Engine:
@@ -333,10 +331,11 @@ class Engine:
         # benign (worst case: a duplicate check), entries are immutable.
         self._fd_rescues: dict = {}
         self._fd_checks: dict = {}
-        # union counting state: (plan, instance) -> (version vector,
-        # delta-patched inclusion-exclusion intersection terms); see
+        # union counting state: the inclusion-exclusion intersection
+        # terms per (plan, instance), on the same ladder and LRU bound as
+        # the prepared enumerators but outside engine.stats; see
         # Engine._union_count
-        self._count_terms: dict = {}
+        self._count_terms = PreparedCache(prep_cache_size)
         # the engine-owned shard pool, created lazily on the first
         # parallel build and reused for every one after (pool construction
         # per cold open would dominate small builds)
@@ -678,36 +677,28 @@ class Engine:
 
         Member counts come from each member's CDY counting DP; every
         subset intersection of two or more members is a conjunction CQ
-        whose term (:meth:`_conjunction_term`) is kept per
-        ``(plan, instance)`` with the instance's version vector (the
-        readdressed *inst* shares relation objects with the submitted
-        *instance*, so the vector fences both). When the vector moves,
-        the net deltas since the stored vector are applied to every
-        enumerator term, as the prepared cache does for the members; a
-        term is rebuilt only when that history is unusable or its patch
-        raises. The terms never go through the prepared cache, so a count
-        never registers there as a miss or a rebase.
+        whose term (:meth:`_conjunction_term`) is kept in the engine's
+        term cache per ``(plan, instance)``, fenced by the version vector
+        of the readdressed *inst* (which shares relation objects with the
+        submitted *instance*). When the vector moves, the cache's delta
+        rung patches every enumerator term (:class:`_CountTerms`); a term
+        is rebuilt only when that history is unusable or its patch
+        raises. The term cache is a :class:`PreparedCache` of its own, so
+        a count never registers in the prepared cache or in
+        :attr:`stats` as a miss or a rebase.
         """
         cqs = plan.normalized.cqs
         total = sum(m.count_answers() for m in members)
         if len(cqs) < 2:
             return total
-        key = (id(plan), id(instance))
         head = plan.normalized.head
         # one caller per key at a time: patching a term twice with the
         # same delta would corrupt it
-        with self._prep_locks.acquire(("count",) + key):
-            vector = inst.version_vector(plan.ucq.schema)
-            cached = self._count_terms.get(key)
-            if cached is None:
-                terms: dict = {}
-            elif cached[0] == vector:
-                terms = cached[1]
-            else:
-                terms = _patched_terms(cached[1], inst.diff_since(cached[0]))
-            if cached is None and len(self._count_terms) >= 64:
-                self._count_terms.clear()
-            self._count_terms[key] = (vector, terms)
+        with self._prep_locks.acquire(("count", id(plan), id(instance))):
+            _outcome, terms = self._count_terms.fetch(plan, instance, inst)
+            if terms is None:
+                terms = _CountTerms()
+                self._count_terms.store(plan, instance, terms, inst)
             for r in range(2, len(cqs) + 1):
                 sign = 1 if r % 2 else -1
                 for subset in combinations(range(len(cqs)), r):
@@ -733,7 +724,7 @@ class Engine:
         the shared free variables satisfies the conjunction iff it is an
         answer of every member. A free-connex conjunction becomes an
         incremental CDY enumerator (counted by its DP, patched under
-        deltas by :func:`_patched_terms`); the rest are counted naively
+        deltas by :class:`_CountTerms`); the rest are counted naively
         (intersections are no larger than the smallest member, so this
         stays proportional to work :meth:`execute` would do anyway).
         """
@@ -1343,9 +1334,11 @@ class Engine:
         editing ``Relation.tuples`` directly (bypassing
         ``add``/``discard``/``apply_batch``) *without* changing the
         relation's cardinality — size changes are caught by the vector's
-        cardinality entry even without a version bump.
+        cardinality entry even without a version bump. Drops the union
+        counts' intersection terms with the prepared enumerators.
         """
         self._prepared.invalidate(instance)
+        self._count_terms.invalidate(instance)
 
     def answers(self, ucq: UCQ, instance: Instance) -> set[tuple]:
         """Convenience: the full answer set (canonical ``ucq.head`` order)."""
@@ -1393,8 +1386,9 @@ class Engine:
         return out
 
     def clear_cache(self) -> None:
-        """Drop all cached plans, prepared enumerators and fragments
-        (stats survive)."""
+        """Drop all cached plans, prepared enumerators, union-count terms
+        and fragments (stats survive)."""
         self._cache.clear()
         self._prepared.clear()
+        self._count_terms.clear()
         self._fragments.clear()

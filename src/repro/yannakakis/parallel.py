@@ -319,11 +319,12 @@ def parallel_ground_columnar(
     :meth:`~repro.database.interner.Interner.import_table` and the id
     columns concatenate per atom per position (one C-level ``map`` per
     column for non-identity remaps, plain adoption otherwise). This is
-    what parallelizes the *incremental* (serving) cold build, whose
-    reduction must stay on the counting reducer — only its
-    grounding/interning stage distributes. Shard dispatch runs the same
-    recovery ladder as :func:`parallel_reduce`: a failed shard (worker
-    crash, broken executor) is retried on a fresh pool, then grounds
+    what parallelizes the *incremental* (serving) cold build, which
+    keeps its grounded columns for the counting reducer the first delta
+    builds — only its grounding/interning stage distributes, and the
+    fused reduction runs over the merged columns. Shard dispatch runs
+    the same recovery ladder as :func:`parallel_reduce`: a failed shard
+    (worker crash, broken executor) is retried on a fresh pool, then grounds
     serially in the parent — identical output, recorded through
     *recovery*'s counters. *deadline* caps every retry backoff (and is
     checked at each ladder rung), so a crashing shard cannot sleep a

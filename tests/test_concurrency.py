@@ -253,7 +253,7 @@ def test_union_count_racing_a_patch_waits_for_it(monkeypatch):
     instance = random_instance_for(ucq, n_tuples=300, domain_size=30, seed=5)
     engine = Engine()
     engine.count(ucq, instance)
-    ((_vector, terms),) = engine._count_terms.values()
+    _hit, terms = engine._count_terms.fetch(engine.plan(ucq), instance)
     term = terms[(0, 1)]
     real_apply = term.apply_deltas
     applies: list = []

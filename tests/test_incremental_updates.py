@@ -9,6 +9,7 @@ rebuilt from scratch on the mutated data.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -410,17 +411,96 @@ def test_union_count_patches_intersection_terms():
     engine = Engine()
     assert engine.plan(ucq).kind.name == "UNION_TRACTABLE"
     assert engine.count(ucq, instance) == len(evaluate_ucq(ucq, instance))
-    ((_vector, terms),) = engine._count_terms.values()
-    term = terms[(0, 1)]
+    term = _union_terms(engine, ucq, instance)[(0, 1)]
     assert isinstance(term, CDYEnumerator) and term._reducer is None
     for _ in range(ENGINE_ROUNDS):
         _mutate_instance(instance, symbols, rng, domain=10)
         assert engine.count(ucq, instance) == len(evaluate_ucq(ucq, instance))
-        ((_vector, terms),) = engine._count_terms.values()
-        assert terms[(0, 1)] is term
+        assert _union_terms(engine, ucq, instance)[(0, 1)] is term
     assert term._reducer is not None  # patched, not rebuilt
     assert engine.stats.rebases == 0
     assert engine.stats.prep_misses == 1
+
+
+def _union_terms(engine, ucq, instance):
+    """The engine's current intersection terms for *ucq* over *instance*
+    (a query whose relation names address *instance* directly)."""
+    outcome, terms = engine._count_terms.fetch(engine.plan(ucq), instance)
+    assert outcome == "hit"
+    return terms
+
+
+UNION_QUERY = "Q1(x, y) <- R(x, y), S(y, z) ; Q2(x, y) <- R(x, y), T(y, w)"
+
+
+def test_union_count_terms_follow_invalidate():
+    """invalidate() is the remedy for an out-of-band edit that keeps
+    every cardinality; it must drop the union's intersection terms too,
+    or the next versioned delta patches a stale term for good."""
+    ucq = parse_ucq(UNION_QUERY)
+    instance = Instance.from_dict(
+        {"R": [(1, 2), (3, 4)], "S": [(2, 5), (4, 5)], "T": [(2, 6)]}
+    )
+    engine = Engine()
+    assert engine.count(ucq, instance) == 2
+    # out-of-band, same cardinality: no version vector can see it
+    instance.get("R").tuples.discard((1, 2))
+    instance.get("R").tuples.add((7, 8))
+    engine.invalidate(instance)
+    assert engine.count(ucq, instance) == len(evaluate_ucq(ucq, instance))
+    instance.get("R").add((9, 2))
+    assert engine.count(ucq, instance) == len(evaluate_ucq(ucq, instance))
+
+    # invalidate() with no instance drops every term
+    engine.invalidate()
+    assert len(engine._count_terms) == 0
+
+
+def test_union_count_terms_are_bounded_and_die_with_the_instance():
+    """The term cache has the prepared cache's LRU bound, and an entry
+    goes away with its instance."""
+    ucq = parse_ucq(UNION_QUERY)
+    engine = Engine(prep_cache_size=2)
+    instances = [
+        random_instance_for(ucq, n_tuples=40, domain_size=8, seed=s)
+        for s in range(3)
+    ]
+    for instance in instances:
+        assert engine.count(ucq, instance) == len(evaluate_ucq(ucq, instance))
+    assert len(engine._count_terms) == 2
+    del instance
+    instances.pop()
+    gc.collect()
+    assert len(engine._count_terms) == 1
+    engine.clear_cache()
+    assert len(engine._count_terms) == 0
+
+
+def test_relation_renamed_union_count_patches_its_terms(monkeypatch):
+    """A union counted through a relation renaming (a readdressed view
+    of the instance) keeps and patches its terms like a direct one."""
+    built = []
+    conjunction_term = Engine._conjunction_term
+
+    def counting_term(*args):
+        built.append(args)
+        return conjunction_term(*args)
+
+    monkeypatch.setattr(Engine, "_conjunction_term", staticmethod(counting_term))
+    rng = random.Random("renamed-union-count")
+    ucq = parse_ucq(UNION_QUERY)
+    renamed = parse_ucq(
+        "P1(a, b) <- A(a, b), B(b, c) ; P2(a, b) <- A(a, b), C(b, d)"
+    )
+    engine = Engine()
+    engine.count(ucq, random_instance_for(ucq, n_tuples=20, seed=1))
+    instance = random_instance_for(renamed, n_tuples=80, domain_size=10, seed=2)
+    for _ in range(ENGINE_ROUNDS):
+        count = engine.count(renamed, instance)
+        assert count == len(evaluate_ucq(renamed, instance))
+        _mutate_instance(instance, ["A", "B", "C"], rng, domain=10)
+    assert engine.stats.plan_misses == 1  # the renamed query replays the plan
+    assert len(built) == 2  # one term per instance, patched ever after
 
 
 def test_engine_rebases_on_out_of_band_size_change():

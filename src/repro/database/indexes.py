@@ -35,17 +35,30 @@ def tuple_selector(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*positions)
 
 
+#: Groups up to this size remove with a plain list scan, which beats a
+#: dict at that length; the first removal from a larger group builds the
+#: group's ``{value: position}`` map, and later removals swap-remove.
+POSITION_MAP_MIN = 32
+
+
 class GroupIndex:
     """Group tuples by key positions; store distinct value projections.
 
     ``lookup(key)`` returns the list of distinct value tuples for the key
-    (empty list when absent); building is one linear pass. The per-group
-    lists preserve first-occurrence order, and ``groups`` exposes the
-    underlying ``{key: [values]}`` mapping so hot loops (the compiled CDY
-    walk) can bind ``groups.get`` directly without a method call per lookup.
+    (empty list when absent); building is one linear pass. Freshly built
+    per-group lists preserve first-occurrence order, and ``groups`` exposes
+    the underlying ``{key: [values]}`` mapping so hot loops (the compiled
+    CDY walk) can bind ``groups.get`` directly without a method call per
+    lookup.
+
+    :meth:`apply_delta` removes in O(1): a group above
+    :data:`POSITION_MAP_MIN` values gets a ``{value: position}`` map the
+    first time a removal hits it, and removals swap the group's last value
+    into the freed slot. Group order is therefore unspecified after a
+    delta. No position map exists right after a build.
     """
 
-    __slots__ = ("key_positions", "value_positions", "groups")
+    __slots__ = ("key_positions", "value_positions", "groups", "_positions")
 
     def __init__(
         self,
@@ -71,6 +84,9 @@ class GroupIndex:
                 seen.add(val)
                 groups[key].append(val)
         self.groups = groups
+        # lazy per-group {value: position} maps, only for groups that a
+        # removal has hit above POSITION_MAP_MIN values
+        self._positions: dict[tuple, dict[tuple, int]] = {}
 
     @classmethod
     def from_groups(
@@ -101,42 +117,76 @@ class GroupIndex:
     def __len__(self) -> int:
         return len(self.groups)
 
+    def _remove(self, key: tuple, val: tuple) -> None:
+        """Remove *val* from *key*'s group in O(1); raise if it is absent.
+
+        Small groups scan; a group above :data:`POSITION_MAP_MIN` values
+        swap-removes through its position map (built here on first use).
+        An emptied group is deleted together with its map.
+        """
+        groups = self.groups
+        group = groups[key]  # KeyError on an absent key: fail fast
+        positions = self._positions.get(key)
+        if positions is None:
+            if len(group) <= POSITION_MAP_MIN:
+                group.remove(val)  # ValueError on absent: fail fast
+                if not group:
+                    del groups[key]
+                return
+            positions = {v: i for i, v in enumerate(group)}
+            self._positions[key] = positions
+        slot = positions.pop(val, None)
+        if slot is None:
+            raise ValueError(f"{val!r} is not in the group of {key!r}")
+        last = group.pop()
+        if slot < len(group):
+            group[slot] = last
+            positions[last] = slot
+        elif not group:
+            del groups[key]
+            del self._positions[key]
+
     def apply_delta(
         self, adds: Iterable[tuple], removes: Iterable[tuple]
     ) -> None:
         """Update the index from row deltas instead of a rebuild.
 
-        Additions are O(1) each; a removal costs a scan of its group's list
-        (the walk needs plain indexable lists and the index carries no
-        per-value position map), so the bound is O(|adds| + Σ affected
-        group sizes) — far below a rebuild for small deltas, degrading only
-        under heavy skew (many removals from one huge group).
+        Additions and removals are O(1) each, so the bound is O(|Δ|):
+        a removal from a group above :data:`POSITION_MAP_MIN` values
+        swap-removes through the group's position map, built lazily from
+        the group the first time a removal hits it (O(group) once, then
+        maintained by every later addition and removal). Group order is
+        unspecified after a delta; nothing relies on it, since cursor tokens
+        are fenced by version and in-flight walks are poisoned.
 
         Precondition (not checked): the key and value positions together
         determine a row uniquely — as in the CDY enumeration/extension plans,
         where they partition the node's variables — and *adds*/*removes* are
         exact set changes (nothing added twice, nothing removed that is
-        absent). Rows whose projections can collide need
-        :class:`CountedGroupIndex` instead. Mutates ``groups`` in place, so
-        walks holding the dict see the update; in-flight iterations over a
-        group list are invalidated.
+        absent; an absent removal raises). Rows whose projections can
+        collide need :class:`CountedGroupIndex` instead. Mutates ``groups``
+        in place, so walks holding the dict see the update; in-flight
+        iterations over a group list are invalidated.
         """
         key_of = tuple_selector(self.key_positions)
         val_of = tuple_selector(self.value_positions)
-        groups = self.groups
+        remove = self._remove
         for row in removes:
-            key = key_of(row)
-            group = groups[key]
-            group.remove(val_of(row))  # ValueError on absent: fail fast
-            if not group:
-                del groups[key]
+            remove(key_of(row), val_of(row))
+        groups = self.groups
+        positions = self._positions
         for row in adds:
             key = key_of(row)
+            val = val_of(row)
             group = groups.get(key)
             if group is None:
-                groups[key] = [val_of(row)]
-            else:
-                group.append(val_of(row))
+                groups[key] = [val]
+                continue
+            if positions:
+                group_positions = positions.get(key)
+                if group_positions is not None:
+                    group_positions[val] = len(group)
+            group.append(val)
 
 
 class CountedGroupIndex(GroupIndex):
@@ -164,11 +214,15 @@ class CountedGroupIndex(GroupIndex):
     def apply_delta(
         self, adds: Iterable[tuple], removes: Iterable[tuple]
     ) -> None:
-        """Multiplicity-aware delta maintenance (removes first, then adds)."""
+        """Multiplicity-aware delta maintenance (removes first, then adds);
+        a value leaves its group through the same O(1) removal as
+        :meth:`GroupIndex.apply_delta`."""
         key_of = tuple_selector(self.key_positions)
         val_of = tuple_selector(self.value_positions)
         groups = self.groups
         counts = self._counts
+        positions = self._positions
+        remove = self._remove
         for row in removes:
             key = key_of(row)
             val = val_of(row)
@@ -178,10 +232,8 @@ class CountedGroupIndex(GroupIndex):
                 group_counts[val] = n
                 continue
             del group_counts[val]
-            group = groups[key]
-            group.remove(val)
-            if not group:
-                del groups[key]
+            remove(key, val)
+            if not group_counts:
                 del counts[key]
         for row in adds:
             key = key_of(row)
@@ -194,7 +246,12 @@ class CountedGroupIndex(GroupIndex):
             n = group_counts.get(val)
             if n is None:
                 group_counts[val] = 1
-                groups[key].append(val)
+                group = groups[key]
+                if positions:
+                    group_positions = positions.get(key)
+                    if group_positions is not None:
+                        group_positions[val] = len(group)
+                group.append(val)
             else:
                 group_counts[val] = n + 1
 

@@ -442,8 +442,8 @@ class CDYEnumerator:
         #: (epoch, |Q(I)|S|) memo for count_answers; dies with the epoch
         self._count_cache: tuple[int, int] | None = None
         #: per-order sorted-group walk structures, keyed by the per-level
-        #: column permutations; entries are (epoch, levels) and stale
-        #: epochs are dropped lazily
+        #: column permutations; entries are (epoch, levels), emptied by
+        #: apply_deltas (stale entries after poison() are dropped lazily)
         self._ordered_cache: dict[tuple, tuple[int, list]] = {}
         #: whether :meth:`apply_deltas` is supported (``incremental=True``)
         self.incremental = incremental
@@ -1117,6 +1117,8 @@ class CDYEnumerator:
             # bump even on failure: a half-patched enumerator must make
             # in-flight iterators raise, never serve mixed state
             self._epoch += 1
+            # the sorted level copies are unreachable once the epoch moves
+            self._ordered_cache = {}
 
     def _apply_deltas(
         self, deltas: Mapping[str, tuple[Iterable[tuple], Iterable[tuple]]]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.database import (
+    CountedGroupIndex,
     GroupIndex,
     Instance,
     MembershipIndex,
@@ -142,13 +143,24 @@ class TestGroupIndexMemoryShape:
 
     def test_shape_no_global_pair_bookkeeping(self):
         idx = GroupIndex([(1, 2), (1, 2), (2, 3)], [0], [1])
-        # the index stores exactly its positions and the groups mapping —
-        # no lifetime (key, val) dedup structure
+        # the index stores exactly its positions, the groups mapping and
+        # the lazy per-group position maps of apply_delta — no lifetime
+        # (key, val) dedup structure
         assert set(GroupIndex.__slots__) == {
             "key_positions",
             "value_positions",
             "groups",
+            "_positions",
         }
+        # position maps are built by removals only, never by a build
+        assert idx._positions == {}
+        big = [(0, i) for i in range(200)]
+        assert GroupIndex(big, [0], [1])._positions == {}
+        assert CountedGroupIndex(big, [0], [1])._positions == {}
+        adopted = GroupIndex.from_groups(
+            [0], [1], {(0,): [(i,) for (_, i) in big]}
+        )
+        assert adopted._positions == {}
         assert idx.groups == {(1,): [(2,)], (2,): [(3,)]}
         assert all(isinstance(g, list) for g in idx.groups.values())
         # per-group lists are duplicate-free

@@ -22,6 +22,7 @@ from repro.database import (
     Relation,
     random_instance_for,
 )
+from repro.database.indexes import tuple_selector
 from repro.engine import Engine
 from repro.naive.evaluate import evaluate_ucq
 from repro.query import parse_ucq
@@ -206,6 +207,168 @@ def test_covering_group_index_delta_matches_rebuild(seed):
         }
 
 
+# large groups: the swap-remove path through the lazy position maps
+LARGE_GROUP_SEEDS = 3
+# random batch, remove the tail value, empty, refill (re-adding removed rows)
+LARGE_GROUP_STEPS = (
+    "random", "tail", "random", "empty", "refill",
+    "tail", "random", "random", "empty", "refill", "random", "tail",
+)
+
+
+def _check_against_rebuild(index, rebuilt):
+    assert {k: set(g) for k, g in index.groups.items()} == {
+        k: set(g) for k, g in rebuilt.groups.items()
+    }
+    for group in index.groups.values():
+        assert len(group) == len(set(group))
+    if isinstance(index, CountedGroupIndex):
+        assert index._counts == rebuilt._counts
+    # a position map exists only for a live group, and agrees with it
+    assert set(index._positions) <= set(index.groups)
+    for key, positions in index._positions.items():
+        assert positions == {v: i for i, v in enumerate(index.groups[key])}
+
+
+def _drive_large_group(make, universe, initial, seed):
+    """Random add/remove steps over one group of ≥ 500 values, checked
+    against a rebuild after every step; returns whether a position map
+    was ever built."""
+    rng = random.Random(seed)
+    rows = set(rng.sample(universe, initial))
+    index = make(rows)
+    val_of = tuple_selector(index.value_positions)
+    assert len(index.groups) == 1
+    assert len(next(iter(index.groups.values()))) >= 500
+    mapped = False
+    for step in LARGE_GROUP_STEPS:
+        if step == "empty":
+            adds, removes = set(), set(rows)
+        elif step == "refill":
+            adds, removes = set(rng.sample(universe, initial)), set()
+        else:
+            absent = [t for t in universe if t not in rows]
+            adds = set(rng.sample(absent, min(40, len(absent))))
+            removes = set(rng.sample(sorted(rows), min(60, len(rows))))
+            if step == "tail" and index.groups:
+                tail = next(iter(index.groups.values()))[-1]
+                removes |= {t for t in rows if val_of(t) == tail}
+        rows = (rows - removes) | adds
+        index.apply_delta(adds, removes)
+        mapped = mapped or bool(index._positions)
+        _check_against_rebuild(index, make(rows))
+        if not rows:
+            assert index.groups == {} and index._positions == {}
+    return mapped
+
+
+@pytest.mark.parametrize("key_positions", [[], [0]])
+@pytest.mark.parametrize("seed", range(LARGE_GROUP_SEEDS))
+def test_large_group_index_delta_matches_rebuild(key_positions, seed):
+    universe = [(0, a, b) for a in range(40) for b in range(40)]
+    assert _drive_large_group(
+        lambda rows: GroupIndex(rows, key_positions, [1, 2]),
+        universe,
+        700,
+        3000 + seed,
+    )
+
+
+@pytest.mark.parametrize("key_positions", [[], [0]])
+@pytest.mark.parametrize("seed", range(LARGE_GROUP_SEEDS))
+def test_large_counted_group_index_delta_matches_rebuild(key_positions, seed):
+    """Colliding projections (position 2 projected away) in one group."""
+    universe = [(0, a, c) for a in range(700) for c in range(3)]
+    assert _drive_large_group(
+        lambda rows: CountedGroupIndex(rows, key_positions, [1]),
+        universe,
+        1500,
+        4000 + seed,
+    )
+
+
+@pytest.mark.parametrize("size", [5, 500])
+def test_group_index_absent_removal_raises(size):
+    """Small (scanned) and large (position-mapped) groups alike."""
+    rows = [(0, i) for i in range(size)]
+    index = GroupIndex(rows, [0], [1])
+    with pytest.raises(ValueError):
+        index.apply_delta((), [(0, size)])
+    index.apply_delta((), [(0, 0)])  # builds the map of a large group
+    with pytest.raises(ValueError):
+        index.apply_delta((), [(0, 0)])
+    with pytest.raises(KeyError):
+        index.apply_delta((), [(1, 0)])
+    counted = CountedGroupIndex(rows, [0], [1])
+    with pytest.raises(KeyError):
+        counted.apply_delta((), [(0, size)])
+    _check_against_rebuild(index, GroupIndex(rows[1:], [0], [1]))
+
+
+class _CountingValue:
+    """A value that counts how often it is compared for equality."""
+
+    eq_calls = 0
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __eq__(self, other):
+        _CountingValue.eq_calls += 1
+        return isinstance(other, _CountingValue) and self.v == other.v
+
+
+@pytest.mark.parametrize("cls", [GroupIndex, CountedGroupIndex])
+def test_large_group_removal_is_constant_time(cls):
+    """Deterministic O(1) witness: removing 100 values from a 10 000-value
+    group compares a bounded number of values per removal (a list scan
+    would compare ~5 000 each). Removals use equal, non-identical values,
+    so no identity shortcut hides the comparisons."""
+    index = cls([(_CountingValue(i),) for i in range(10_000)], [], [0])
+    removes = [(_CountingValue(i),) for i in range(5_000, 5_100)]
+    _CountingValue.eq_calls = 0
+    index.apply_delta((), removes)
+    assert _CountingValue.eq_calls <= 5 * len(removes)
+    assert len(index.groups[()]) == 9_900
+
+
+def test_chain3_hub_removal_through_engine():
+    """One T tuple supports every reduced R row of chain3 (the root group
+    of key ``()``): removing and re-adding it stays on the DELTA rung and
+    matches a fresh engine over a snapshot."""
+    n = 5_000
+    ucq = parse_ucq("Q(x,y) <- R(x,y),S(y,z),T(z,w)")
+    instance = Instance.from_dict(
+        {
+            "R": [(x, 0) for x in range(n)] + [(x, 1) for x in range(50)],
+            "S": [(0, 0), (1, 1)],
+            "T": [(0, 0), (1, 2)],
+        }
+    )
+    engine = Engine()
+    assert engine.count(ucq, instance) == n + 50
+
+    def check(expected):
+        answers = list(engine.execute(ucq, instance))
+        fresh = Engine()
+        snapshot = instance.snapshot()
+        assert len(answers) == len(set(answers)) == expected
+        assert set(answers) == set(fresh.execute(ucq, snapshot))
+        assert engine.count(ucq, instance) == fresh.count(ucq, snapshot)
+
+    instance.get("T").discard((0, 0))
+    check(50)
+    instance.get("T").add((0, 0))
+    check(n + 50)
+    assert engine.stats.delta_applies == 2
+    assert engine.stats.rebases == 0
+    assert engine.stats.prep_misses == 1
+
+
 def test_membership_index_delta():
     rows = {(1, 2), (3, 2), (5, 6)}
     index = MembershipIndex(rows, [1])
@@ -290,6 +453,22 @@ def test_in_flight_iterator_fails_loudly_after_apply_deltas():
         list(ref)
     # a fresh iterator serves the updated state fine
     assert set(enum) == set(CDYEnumerator(ucq.cqs[0], instance))
+
+
+def test_apply_deltas_drops_sorted_level_caches():
+    """The sorted walk levels of an ordered cursor die with their epoch
+    instead of lingering until the cache bound evicts them."""
+    ucq = parse_ucq(CDY_QUERIES[0])
+    instance = random_instance_for(ucq, n_tuples=60, domain_size=6, seed=3)
+    enum = CDYEnumerator(ucq.cqs[0], instance, incremental=True)
+    order_by = ucq.cqs[0].head[:1]
+    list(enum.cursor(order_by=order_by))
+    assert len(enum._ordered_cache) == 1
+    instance.get("R").add((99, 98))
+    enum.apply_deltas({"R": ({(99, 98)}, set())})
+    assert enum._ordered_cache == {}
+    answers = list(enum.cursor(order_by=order_by))
+    assert set(answers) == set(CDYEnumerator(ucq.cqs[0], instance))
 
 
 def test_failed_apply_deltas_poisons_in_flight_iterators():

@@ -295,6 +295,7 @@ def test_group_index_absent_removal_raises(size):
     with pytest.raises(ValueError):
         index.apply_delta((), [(0, size)])
     index.apply_delta((), [(0, 0)])  # builds the map of a large group
+    assert bool(index._positions) == (size == 500)  # 5 values: a scan
     with pytest.raises(ValueError):
         index.apply_delta((), [(0, 0)])
     with pytest.raises(KeyError):

@@ -13,8 +13,8 @@ Three jobs, all CI-enforced (non-zero exit on violation):
    symbol table. Broken references fail the build.
 3. **Markdown generation** — one ``docs/api/<module>.md`` per documented
    module plus a CLI reference generated from the argparse tree. The
-   generated files are committed; CI re-generates and diffs nothing (the
-   generator is deterministic), it only has to *succeed*.
+   generated files are not tracked (``docs/api/`` is gitignored); CI
+   regenerates them on every run and uploads them as an artifact.
 
 When ``pdoc`` is importable (CI installs it; the pinned dev container may
 not have it) ``--html`` additionally renders the same module set to

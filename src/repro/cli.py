@@ -9,7 +9,6 @@ Usage::
     python -m repro run QUERY --data instance.json --count [--fds fds.json]
     python -m repro run QUERY --data instance.json --order-by x,y
     python -m repro catalog [--key example_2]
-    python -m repro bench updates --quick
     python -m repro serve --data instance.json --port 8077
 
 ``serve`` starts the JSON-over-HTTP serving front end
@@ -36,8 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
-import runpy
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -175,77 +172,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-def _benchmark_dirs() -> list[Path]:
-    """Candidate benchmark directories: the CWD's and the checkout's."""
-    here = Path(__file__).resolve()
-    candidates = [Path.cwd() / "benchmarks"]
-    if len(here.parents) >= 3:  # src/repro/cli.py -> repo root
-        candidates.append(here.parents[2] / "benchmarks")
-    out: list[Path] = []
-    for c in candidates:
-        if c.is_dir() and c not in out:
-            out.append(c)
-    return out
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run a ``benchmarks/bench_*.py`` by name, uniformly for CI and humans.
-
-    Standalone benchmark scripts (those with a ``__main__`` guard, like
-    ``bench_engine.py`` / ``bench_updates.py``) run in-process with the
-    passthrough arguments and their JSON summary is printed afterwards;
-    pytest-benchmark files are handed to pytest.
-    """
-    name = args.name
-    if not name.startswith("bench_"):
-        name = f"bench_{name}"
-    if not name.endswith(".py"):
-        name += ".py"
-    dirs = _benchmark_dirs()
-    script = next((d / name for d in dirs if (d / name).is_file()), None)
-    if script is None:
-        print(f"no such benchmark: {name}", file=sys.stderr)
-        available = sorted(
-            {p.stem.removeprefix("bench_") for d in dirs for p in d.glob("bench_*.py")}
-        )
-        if available:
-            print("available: " + ", ".join(available), file=sys.stderr)
-        return 2
-    extra = list(args.args)
-    if extra and extra[0] == "--":
-        extra = extra[1:]
-
-    # standalone scripts are the ones with a real module-level entry-point
-    # guard; a mere "__main__" mention in a docstring must not count
-    if re.search(r"^if __name__\s*==", script.read_text(), re.MULTILINE):
-        argv, sys.argv = sys.argv, [str(script), *extra]
-        try:
-            runpy.run_path(str(script), run_name="__main__")
-        except SystemExit as exc:
-            if exc.code not in (None, 0):
-                if isinstance(exc.code, int):
-                    return exc.code
-                print(exc.code, file=sys.stderr)
-                return 1
-        finally:
-            sys.argv = argv
-        # standalone benches write their summary next to the CWD; echo it
-        out_name = f"BENCH_{script.stem.removeprefix('bench_')}.json"
-        for i, arg in enumerate(extra):
-            if arg == "--out" and i + 1 < len(extra):
-                out_name = extra[i + 1]
-            elif arg.startswith("--out="):
-                out_name = arg.partition("=")[2]
-        out_file = Path(out_name)
-        if out_file.is_file():
-            print(out_file.read_text(), end="")
-        return 0
-
-    import pytest
-
-    return pytest.main([str(script), "-q", *extra])
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -465,18 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list the paper's examples")
     p.add_argument("--key", default=None)
     p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser(
-        "bench",
-        help="run a benchmarks/bench_*.py by name and print its JSON summary",
-    )
-    p.add_argument("name", help="benchmark name (e.g. 'updates' or 'bench_engine')")
-    p.add_argument(
-        "args",
-        nargs=argparse.REMAINDER,
-        help="arguments passed through to the benchmark (e.g. --quick)",
-    )
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "lint",

@@ -2,7 +2,7 @@
 
 The engine and the serving layer are both long-lived shared objects under
 multi-threaded traffic (the HTTP front end is a ``ThreadingHTTPServer``;
-`benchmarks/bench_parallel.py` hammers them directly). Two recurring
+``tests/test_concurrency.py`` hammers them directly). Two recurring
 needs are factored out here:
 
 * :class:`LockedCounters` — a stats object whose increments are atomic.

@@ -23,7 +23,7 @@ from .columns import (
     live_segments,
     system_segments,
 )
-from .indexes import CountedGroupIndex, GroupIndex, MembershipIndex
+from .indexes import CountedGroupIndex, GroupIndex
 from .instance import Instance
 from .interner import Interner
 from .partition import (
@@ -42,7 +42,6 @@ __all__ = [
     "IdColumn",
     "Instance",
     "Interner",
-    "MembershipIndex",
     "Relation",
     "SharedShardArena",
     "boolean_matmul",

@@ -257,41 +257,3 @@ class CountedGroupIndex(GroupIndex):
                 append(key, groups[key], val)
             else:
                 group_counts[val] = n + 1
-
-
-class MembershipIndex:
-    """Constant-time membership for projections of a relation.
-
-    Internally reference-counted per projected key, so
-    :meth:`apply_delta` stays correct when several rows share a projection.
-    """
-
-    __slots__ = ("positions", "_counts")
-
-    def __init__(self, rows: Iterable[tuple], positions: Sequence[int]) -> None:
-        self.positions = tuple(positions)
-        self._counts: dict[tuple, int] = {}
-        self.apply_delta(rows, ())
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._counts
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def apply_delta(
-        self, adds: Iterable[tuple], removes: Iterable[tuple]
-    ) -> None:
-        """Update membership from row-level deltas in O(|Δ|)."""
-        project = tuple_selector(self.positions)
-        counts = self._counts
-        for r in removes:
-            key = project(r)
-            n = counts[key] - 1
-            if n:
-                counts[key] = n
-            else:
-                del counts[key]
-        for r in adds:
-            key = project(r)
-            counts[key] = counts.get(key, 0) + 1

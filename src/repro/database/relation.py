@@ -22,7 +22,6 @@ version counter stale; treat the set as read-only outside this class.
 from __future__ import annotations
 
 import itertools
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Hashable, Iterable, Iterator, Sequence
@@ -204,15 +203,6 @@ class Relation:
     def copy(self) -> "Relation":
         """A shallow copy: fresh tuple set, fresh uid/version/log."""
         return Relation(self.arity, set(self.tuples))
-
-    def rename_apart(self) -> "Relation":
-        """Deprecated misnomer for :meth:`copy` (it never renamed anything)."""
-        warnings.warn(
-            "Relation.rename_apart() is deprecated; use Relation.copy()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.copy()
 
     def union(self, other: "Relation") -> "Relation":
         """A new relation holding both tuple sets (arities must agree)."""

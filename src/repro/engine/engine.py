@@ -29,8 +29,8 @@ construction — runs on the fused interned columnar pipeline
 API: values are interned to dense ids, grounded relations are stored
 column-wise, and each join-tree node's shared-key grouping is computed once
 and reused across both sweeps and the final index build (the seed per-row
-pipeline stays available as ``pipeline="reference"``; see
-``benchmarks/bench_cold.py`` → ``BENCH_cold.json`` for the ≥3× gate).
+pipeline stays available as ``pipeline="reference"``; ``bench/run.py``
+records the fused build as ``yannakakis.build_fused_s``).
 
 A second, smaller cache covers the *repeated workload* case (same query,
 same database — the serving pattern): for the CDY and Algorithm-1 branches

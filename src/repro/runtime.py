@@ -19,11 +19,11 @@ interpreter and the hardware, not on the query:
 exists on 3.13+; its absence means the GIL is on) and
 :func:`select_backend` turns that probe plus a requested worker count into
 a :class:`Backend` decision with a machine-readable reason — the same
-matrix DESIGN.md documents and ``BENCH_parallel.json`` records. Callers
-that want to force a backend (the differential test suites do) bypass
-selection by naming it: :func:`resolve_pool` maps the ``pool=`` argument
-accepted by :class:`~repro.yannakakis.cdy.CDYEnumerator` — ``"auto"``,
-``"thread"``, ``"process"`` or ``"serial"`` — to a :class:`Backend`.
+matrix DESIGN.md documents. Callers that want to force a backend (the
+differential test suites do) bypass selection by naming it:
+:func:`resolve_pool` maps the ``pool=`` argument accepted by
+:class:`~repro.yannakakis.cdy.CDYEnumerator` — ``"auto"``, ``"thread"``,
+``"process"`` or ``"serial"`` — to a :class:`Backend`.
 
 This module also hosts the **fault-injection seam** the parallel workers
 consult (:func:`install_fault_hook` / :func:`active_fault_hook` /

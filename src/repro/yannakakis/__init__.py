@@ -5,7 +5,6 @@ from .cdy import CDYEnumerator, enumerate_cq
 from .decide import decide_cq, decide_ucq
 from .fused import FusedNode, FusedReduction, fused_reduce
 from .parallel import (
-    legacy_shard_payload_bytes,
     parallel_ground_columnar,
     parallel_reduce,
     shard_ground,
@@ -37,7 +36,6 @@ __all__ = [
     "ground_atom_columnar",
     "ground_atoms",
     "ground_atoms_columnar",
-    "legacy_shard_payload_bytes",
     "parallel_ground_columnar",
     "parallel_reduce",
     "semijoin",

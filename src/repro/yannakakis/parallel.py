@@ -50,8 +50,7 @@ or an explicit ``"thread"`` / ``"process"`` / ``"serial"``, which the
 differential suites use to force each transport regardless of hardware.
 A caller-supplied ``executor`` wins over pool construction and implies
 its own kind. ``stats_out`` (a dict) receives the chosen backend and the
-per-task serialized byte counts — the measurement behind the
-``shard_bytes_reduction`` gate in ``benchmarks/bench_parallel.py``.
+per-task serialized byte counts.
 
 **Fault tolerance.** Shard dispatch runs a recovery ladder instead of
 letting ``concurrent.futures`` internals escape: a failed shard (worker
@@ -800,35 +799,6 @@ def parallel_reduce(
 
     # ---- top-down: down-sweep at group granularity (shared impl) ------ #
     return FusedReduction(nodes, down_sweep(tree, nodes, interner, tick))
-
-
-def legacy_shard_payload_bytes(
-    tree: JoinTree,
-    cq: CQ,
-    instance: Instance,
-    decode_top: frozenset[int] | set[int] = frozenset(),
-    workers: int = 4,
-) -> list[int]:
-    """Per-shard pickled task sizes of the *pre-zero-copy* design.
-
-    The original process-pool path shipped ``(cq, shard instance, specs)``
-    per worker — every shard row crossing the boundary as pickled Python
-    objects. This reconstructs exactly that payload (without running it)
-    so ``benchmarks/bench_parallel.py`` can gate the measured bytes-
-    shipped reduction of the descriptor-based channel against it on any
-    hardware, single-core containers included.
-    """
-    specs = _atom_specs(tree, decode_top)
-    schema_instance = Instance(
-        {
-            symbol: instance.get(symbol, arity)
-            for symbol, arity in cq.schema.items()
-        }
-    )
-    return [
-        len(pickle.dumps((cq, shard, specs), pickle.HIGHEST_PROTOCOL))
-        for shard in partition_instance(schema_instance, workers)
-    ]
 
 
 def _project_source(

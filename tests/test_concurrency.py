@@ -13,7 +13,8 @@ Four families:
   ``execute``/``prepare``/``fetch``/token ``resume``/``apply_delta`` over
   one shared engine + manager, asserting differential correctness against
   single-threaded answers, cache ``_count`` invariants and unique session
-  ids across 200+ mixed operations;
+  ids across 200+ mixed operations, plus per-page cursor steps that do
+  not change under 8 background clients;
 * **lock behaviour** — RWLock semantics, keyed-lock pruning, and the
   "stats respond during a slow open" guarantee (the old global-RLock
   design blocked introspection behind in-flight preprocessing).
@@ -618,6 +619,95 @@ def test_hammer_mixed_ops_zero_differential_mismatches():
     # the serving counters kept up with every page served
     assert manager.stats.pages_served > 0
     assert manager.stats.sessions_opened == len(state.session_ids)
+
+
+#: the measured walk of the delay-under-load test and its neighbours
+LOAD_QUERY = "Q(x, y) <- R(x, y), S(y, z), T(z, w)"
+LOAD_NEIGHBOURS = (
+    LOAD_QUERY,
+    "Q(x, y) <- R(x, y), S(y, z)",
+    "Q(a, b) <- R(a, b), S(b, c)",
+    "Q(x) <- R(x, y), S(y, z), T(z, w)",
+)
+LOAD_CLIENTS = 8
+LOAD_PAGES = 10
+
+
+def test_cursor_steps_per_page_are_identical_under_load():
+    """Constant delay is a step count, not a wall-clock figure: a warm
+    session's cursor steps per page are the same with and without 8
+    background clients opening and paging other sessions on the same
+    manager. After each loaded page the test waits for 8 more background
+    fetches, so the loaded pages really interleave with the clients."""
+    cq = parse_cq(LOAD_QUERY)
+    instance = random_instance_for(
+        cq, n_tuples=5_000, domain_size=625, seed=13
+    )
+    manager = SessionManager(page_size=50)
+    manager.register(instance, "db")
+    manager.open(LOAD_QUERY, "db")  # warm: the walk below is prepared
+
+    progress = threading.Condition()
+    fetched = [0]
+    errors: list = []
+    stop = threading.Event()
+
+    def steps_per_page(wait_for_clients: bool) -> list[int]:
+        session = manager.open(LOAD_QUERY, "db")
+        cursor = session._cursor
+        assert cursor is not None  # a resumable CDY walk
+        out = []
+        for _ in range(LOAD_PAGES):
+            with progress:
+                seen = fetched[0]
+            before = cursor.steps
+            page = manager.fetch(session.session_id)
+            out.append(cursor.steps - before)
+            if wait_for_clients:
+                with progress:
+                    progress.wait_for(
+                        lambda: errors or fetched[0] >= seen + LOAD_CLIENTS
+                    )
+            if page.done:
+                break
+        return out
+
+    def client(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            while not stop.is_set():
+                session = manager.open(rng.choice(LOAD_NEIGHBOURS), "db")
+                for size in (7, 40):
+                    page = manager.fetch(session.session_id, size)
+                    with progress:
+                        fetched[0] += 1
+                        progress.notify_all()
+                    if page.done:
+                        break
+                manager.close(session.session_id)
+        except BaseException as exc:  # noqa: BLE001 - recorded for assert
+            with progress:
+                errors.append(exc)
+                progress.notify_all()
+
+    unloaded = steps_per_page(wait_for_clients=False)
+    threads = [
+        threading.Thread(target=client, args=(700 + i,))
+        for i in range(LOAD_CLIENTS)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        loaded = steps_per_page(wait_for_clients=True)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join()
+
+    assert not errors, errors[:3]
+    assert len(unloaded) == LOAD_PAGES and sum(unloaded) > 0
+    assert fetched[0] >= LOAD_PAGES * LOAD_CLIENTS
+    assert loaded == unloaded
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,6 @@ from repro.database import (
     CountedGroupIndex,
     GroupIndex,
     Instance,
-    MembershipIndex,
     Relation,
     boolean_matmul,
     chain_instance,
@@ -121,10 +120,6 @@ class TestIndexes:
     def test_empty_key(self):
         idx = GroupIndex([(1,), (2,)], [], [0])
         assert sorted(idx.lookup(())) == [(1,), (2,)]
-
-    def test_membership_index(self):
-        m = MembershipIndex([(1, 2), (3, 4)], [1])
-        assert (2,) in m and (5,) not in m
 
     def test_group_index_preserves_first_occurrence_order(self):
         idx = GroupIndex([(1, 5), (1, 3), (1, 5), (1, 4)], [0], [1])

@@ -18,7 +18,6 @@ from repro.database import (
     CountedGroupIndex,
     GroupIndex,
     Instance,
-    MembershipIndex,
     Relation,
     random_instance_for,
 )
@@ -118,14 +117,11 @@ def test_mutators_report_effective_changes_only():
     assert rel.tuples == {(1, 2), (3, 4)}
 
 
-def test_copy_and_deprecated_rename_apart():
+def test_copy_is_independent():
     rel = Relation.from_iterable(2, [(1, 2)])
     dup = rel.copy()
     assert dup.tuples == rel.tuples and dup.tuples is not rel.tuples
     assert dup.uid != rel.uid and dup.version == 0
-    with pytest.deprecated_call():
-        legacy = rel.rename_apart()
-    assert legacy.tuples == rel.tuples
 
 
 def test_instance_snapshot_is_independent():
@@ -368,16 +364,6 @@ def test_chain3_hub_removal_through_engine():
     assert engine.stats.delta_applies == 2
     assert engine.stats.rebases == 0
     assert engine.stats.prep_misses == 1
-
-
-def test_membership_index_delta():
-    rows = {(1, 2), (3, 2), (5, 6)}
-    index = MembershipIndex(rows, [1])
-    index.apply_delta(adds={(7, 8)}, removes={(1, 2)})
-    assert (2,) in index  # (3, 2) still supports key (2,)
-    index.apply_delta(adds=set(), removes={(3, 2)})
-    assert (2,) not in index
-    assert (8,) in index
 
 
 # --------------------------------------------------------------------- #

@@ -724,9 +724,11 @@ class Engine:
         the shared free variables satisfies the conjunction iff it is an
         answer of every member. A free-connex conjunction becomes an
         incremental CDY enumerator (counted by its DP, patched under
-        deltas by :class:`_CountTerms`); the rest are counted naively
-        (intersections are no larger than the smallest member, so this
-        stays proportional to work :meth:`execute` would do anyway).
+        deltas by :class:`_CountTerms`). Any other conjunction is counted
+        by :func:`~repro.naive.evaluate.evaluate_cq`, with no deadline;
+        :class:`_CountTerms` drops that count on every delta, so the next
+        count evaluates the conjunction again. For a cyclic conjunction
+        that can cost more than draining the whole union.
         """
         conj = _conjoin(cqs, head)
         if conj.is_free_connex:

@@ -14,6 +14,7 @@ the member tests).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Protocol, Sequence, TypeVar
 
 from ..database.instance import Instance
@@ -255,6 +256,11 @@ class UnionCursor:
                 return answer
             level += 1
             borrowing = True
+
+    def take(self, n: int) -> list:
+        """The next *n* answers (fewer once exhausted), as
+        :meth:`~repro.yannakakis.cdy.CDYCursor.take` returns them."""
+        return list(islice(self, n))
 
     def checkpoint(self):
         """The resumable state as of the last emitted answer (JSON-safe):

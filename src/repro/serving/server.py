@@ -25,6 +25,17 @@ Endpoints (all bodies JSON):
 ``GET  /healthz``                            liveness/degradation snapshot
 ===========================================  =====================================
 
+Each response the handler builds leaves in one write — status line,
+headers and body together — on a socket with ``TCP_NODELAY`` set (the
+standard library's own error replies, to a malformed request line or
+an unsupported method, still take two writes and close the
+connection). With Nagle's algorithm on, a response split over two
+writes waits for the client's delayed ACK of the first (tens of
+milliseconds) before the second goes out, which dwarfs the CPU cost of
+a page. A page itself is one
+:meth:`~repro.yannakakis.cdy.CDYCursor.take` of the session's cursor,
+whose answer tuples are encoded straight to JSON arrays.
+
 Error mapping: malformed input (including schema/parse errors) → 400,
 unknown session or instance id → 404, a body read that stalls past the
 socket timeout → 408 (connection closed), fenced cursor → 409 with
@@ -39,6 +50,7 @@ Start from the shell with ``python -m repro serve --data instance.json``.
 
 from __future__ import annotations
 
+import io
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -82,6 +94,10 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
 
     server: "ServingHTTPServer"
     protocol_version = "HTTP/1.1"
+    #: ``StreamRequestHandler.setup`` sets TCP_NODELAY on every accepted
+    #: socket: a response then leaves at once instead of waiting out the
+    #: client's delayed ACK of the previous segment
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -100,6 +116,7 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
     def _reply(
         self, code: int, payload: dict, headers: dict | None = None
     ) -> None:
+        """Send the status line, headers and body in one write."""
         body = json.dumps(payload, default=str).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
@@ -107,8 +124,16 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         if headers:
             for name, value in headers.items():
                 self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() writes the finished head to wfile as a write of
+        # its own; catch it in a buffer so that head and body leave in
+        # one write (an HTTP/0.9 request gets no head, only the body)
+        wfile, self.wfile = self.wfile, io.BytesIO()
+        try:
+            self.end_headers()
+            head = self.wfile.getvalue()
+        finally:
+            self.wfile = wfile
+        wfile.write(head + body)
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..concurrency import make_lock
+from ..database.indexes import tuple_selector
 from ..database.instance import Instance
 from ..engine.engine import Engine, PreparedQuery
 from ..exceptions import CursorFencedError, ServingError
@@ -61,9 +62,11 @@ class Page:
         return iter(self.answers)
 
     def as_dict(self) -> dict:
-        """JSON-ready form (used by the HTTP server)."""
+        """JSON-ready form (used by the HTTP server); the answer tuples
+        pass through as they are, since :mod:`json` writes a tuple as an
+        array."""
         return {
-            "answers": [list(a) for a in self.answers],
+            "answers": self.answers,
             "cursor": self.cursor,
             "done": self.done,
             "offset": self.offset,
@@ -126,7 +129,12 @@ class Session:
         #: the walk structure the cursor positions refer to (see
         #: :func:`~repro.serving.cursor.prepared_digest`)
         self.walk_digest = prepared_digest(prepared)
-        self._permutation = prepared.permutation
+        #: the head reorder of an isomorphic plan hit, compiled once
+        self._select = (
+            None
+            if prepared.permutation is None
+            else tuple_selector(prepared.permutation)
+        )
         self._cursor = None
         self._materialized: Optional[list[tuple]] = None
         self._offset = 0
@@ -208,28 +216,20 @@ class Session:
             deadline.check("serve:page")
         self._fence_check()
         offset = self.served
-        answers: list[tuple] = []
-        done = False
         if self._cursor is not None:
             cursor = self._cursor
             try:
-                for _ in range(n):
-                    try:
-                        answers.append(next(cursor))
-                    except StopIteration:
-                        done = True
-                        break
-            except (CursorFencedError, RuntimeError):
+                answers = cursor.take(n)
+            except (CursorFencedError, RuntimeError, IndexError):
                 # a concurrent delta patched the shared enumerator under
-                # the walk (epoch bump, or a structure mutated mid-read):
+                # the walk (epoch bump, or a list resized mid-read):
                 # report it as the fence it is when the snapshot moved
                 self._fence_check()
                 raise
-            perm = self._permutation
-            if perm is not None:
-                answers = [tuple(t[p] for p in perm) for t in answers]
+            if self._select is not None:
+                answers = list(map(self._select, answers))
             state = cursor.checkpoint()
-            done = done or state == CURSOR_DONE
+            done = state == CURSOR_DONE
         else:
             data = self._materialized
             answers = data[self._offset : self._offset + n]

@@ -12,19 +12,25 @@ Covers the ISSUE-4 contract:
   delta-applied preprocessing;
 * per-page cursor work is bounded independently of instance size, and a
   resume costs O(query size), not O(offset);
-* batched opens plan once and preprocess once per isomorphism group.
+* batched opens plan once and preprocess once per isomorphism group;
+* a cursor cut in blocks (``take``) walks exactly as one advanced answer
+  by answer, and the HTTP front end sends each response in one write on
+  a TCP_NODELAY socket.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from itertools import cycle, islice
 
 import pytest
 
-from repro.database import random_instance_for
+from repro.database import Instance, random_instance_for
 from repro.engine import Engine, PlanKind
 from repro.exceptions import (
     CursorError,
@@ -41,6 +47,7 @@ from repro.serving import (
     SessionManager,
     submit_many,
 )
+from repro.serving.server import ServingRequestHandler
 from repro.yannakakis.cdy import CDYEnumerator
 
 # one template per dispatch branch; the first two page on resumable
@@ -339,6 +346,129 @@ class TestDelayBounds:
         assert resumed.steps <= len(enum.plans)
 
 
+class TestTakeMatchesNext:
+    """``cursor.take(n)`` returns what *n* ``next`` calls return, with the
+    same step count and the same checkpoint after every block."""
+
+    CHAIN = "Q(x, y, z) <- R(x, y), S(y, z), T(z, w)"
+    UNION = (
+        "Q1(x, y) <- R(x, y), S(y, z) ; Q2(x, y) <- T(x, y) ; "
+        "Q3(x, y) <- R(x, y), T(y, w)"
+    )
+    BLOCKS = [1, 7, 100, 10**6]  # 10**6: more than what is left
+
+    @staticmethod
+    def _assert_lockstep(make_cursor, block):
+        by_take, by_next = make_cursor(), make_cursor()
+        while True:
+            got = by_take.take(block)
+            want = list(islice(by_next, block))
+            assert got == want
+            assert getattr(by_take, "steps", None) == getattr(
+                by_next, "steps", None
+            )
+            assert by_take.checkpoint() == by_next.checkpoint()
+            if len(got) < block:
+                assert by_take.take(block) == []
+                assert by_take.checkpoint() == "done"
+                return
+
+    def _chain(self):
+        ucq = parse_ucq(self.CHAIN)
+        instance = random_instance_for(ucq, 200, 12, seed=5)
+        return CDYEnumerator(ucq.cqs[0], instance)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_natural_walk(self, block):
+        enum = self._chain()
+        self._assert_lockstep(enum.cursor, block)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_sorted_group_walk(self, block):
+        enum = self._chain()
+        head = enum.output_order
+        order = next(
+            (a, b) for a in head for b in head
+            if a != b and enum.order_achievable((a, b))
+        )
+        self._assert_lockstep(lambda: enum.cursor(order_by=order), block)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_rehydrated_cursor(self, block):
+        enum = self._chain()
+        cursor = enum.cursor()
+        list(islice(cursor, 37))
+        state = cursor.checkpoint()
+        self._assert_lockstep(lambda: enum.cursor(state), block)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_union_cursor(self, block):
+        ucq = parse_ucq(self.UNION)
+        instance = random_instance_for(ucq, 120, 8, seed=42)
+        union = Engine().prepare(ucq, instance).enumerator
+        self._assert_lockstep(union.cursor, block)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_one_row_runs(self, block):
+        """Every group holds one row, so every innermost run is a single
+        row, emitted without the block maps."""
+        ucq = parse_ucq("Q(x, y, z) <- R(x, y), S(y, z)")
+        instance = Instance.from_dict({
+            "R": [(i, i + 1) for i in range(300)],
+            "S": [(i, i + 2) for i in range(300)],
+        })
+        enum = CDYEnumerator(ucq.cqs[0], instance)
+        self._assert_lockstep(enum.cursor, block)
+
+    def test_take_and_next_interleave(self):
+        """Blocks and single steps mix on one cursor: a block leaves the
+        cursor where ``next`` continues, and the other way round."""
+        enum = self._chain()
+        want = list(enum.cursor())
+        cursor, got = enum.cursor(), []
+        for k in cycle([3, 0, 1, 8, 2]):
+            block = cursor.take(k) + list(islice(cursor, 1))
+            if not block:
+                break
+            got += block
+        assert got == want
+        assert cursor.take(5) == [] and cursor.checkpoint() == "done"
+
+    @pytest.mark.parametrize("query", [CHAIN, UNION], ids=["cdy", "union"])
+    def test_delta_between_blocks_fences(self, query):
+        ucq = parse_ucq(query)
+        instance = random_instance_for(ucq, 120, 8, seed=3)
+        engine = Engine()
+        cursor = engine.prepare(ucq, instance).enumerator.cursor()
+        assert cursor.take(5)
+        instance.get("R").add((10**6, 10**6 + 1))
+        engine.prepare(ucq, instance)  # patches the shared enumerator
+        with pytest.raises(CursorFencedError):
+            cursor.take(5)
+
+
+def test_head_reordered_isomorphic_session_pages_through_resume():
+    """An isomorphic plan hit whose head order differs pages through the
+    representative's walk, reordering every answer; the reorder must
+    hold across a close and a token resume."""
+    q1 = "Q(x, y) <- R(x, y), S(y, z), T(z, w)"
+    q2 = "Q(y, x) <- R(x, y), S(y, z), T(z, w)"
+    instance = random_instance_for(parse_ucq(q1), 150, 8, seed=11)
+    manager = SessionManager(page_size=7)
+    manager.register(instance, "db")
+    manager.open(q1, "db")
+    session = manager.open(q2, "db")
+    assert session.prepared.permutation is not None
+    first = manager.fetch(session.session_id)
+    assert not first.done
+    manager.close(session.session_id)
+    revived = manager.resume(first.cursor)
+    assert revived.prepared.permutation is not None
+    paged = first.answers + drain_with_token_roundtrip(manager, revived)
+    assert len(paged) == len(set(paged))
+    assert set(paged) == evaluate_ucq(parse_ucq(q2), instance)
+
+
 def test_resume_fences_when_plan_representative_changed():
     """A token's walk positions are only meaningful against the plan
     structure that issued them. If the plan cache evicts that plan and a
@@ -584,3 +714,100 @@ def test_http_server_end_to_end():
     finally:
         server.shutdown()
         server.server_close()
+
+
+class _CountingWriter:
+    """A handler's socket writer that records the size of every write."""
+
+    def __init__(self, inner, writes: list) -> None:
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(len(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestSocketPath:
+    """The reply path, checked through the socket API instead of a clock:
+    one write per response, TCP_NODELAY on every accepted connection."""
+
+    @pytest.fixture
+    def server(self):
+        writes: list = []
+        nodelay: list = []
+
+        class Recording(ServingRequestHandler):
+            def setup(self) -> None:
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+                self.wfile = _CountingWriter(self.wfile, writes)
+
+        server = ServingHTTPServer(("127.0.0.1", 0), verbose=False)
+        server.RequestHandlerClass = Recording
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+        try:
+            yield conn, writes, nodelay
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+
+    @staticmethod
+    def _call(conn, method, path, body=None):
+        data = None if body is None else json.dumps(body).encode()
+        conn.request(method, path, body=data)
+        response = conn.getresponse()
+        return response.status, response.read()
+
+    def test_each_response_is_one_write(self, server):
+        conn, writes, _ = server
+        relations = {"R": [[i, i + 1] for i in range(50)], "S": [[1, 2]]}
+        calls = [
+            ("POST", "/instances", {"name": "db", "relations": relations}),
+            ("POST", "/sessions", {"query": "Q(x, y) <- R(x, y)",
+                                   "instance": "db", "page_size": 40}),
+            ("GET", None, None),  # the session's first page
+            ("POST", "/count", {"query": "Q(x) <- R(x, y)",
+                                "instance": "db"}),
+            ("GET", "/no-such-route", None),
+        ]
+        session = None
+        for i, (method, path, body) in enumerate(calls):
+            if path is None:
+                path = f"/sessions/{session}/page"
+            status, raw = self._call(conn, method, path, body)
+            if path == "/sessions":
+                session = json.loads(raw)["session"]
+            assert status in (200, 201, 404)
+            assert len(writes) == i + 1, writes
+            assert writes[-1] > len(raw)  # the head rode with the body
+
+    def test_accepted_connection_sets_tcp_nodelay(self, server):
+        conn, _, nodelay = server
+        assert self._call(conn, "GET", "/healthz")[0] == 200
+        assert nodelay and all(nodelay)
+
+    def test_http09_request_gets_the_bare_body(self, server):
+        """An HTTP/0.9 request queues no status line or headers; the one
+        write then carries the body alone."""
+        conn, writes, _ = server
+        with socket.create_connection(("127.0.0.1", conn.port)) as raw:
+            raw.settimeout(10)
+            raw.sendall(b"GET /healthz\r\n\r\n")
+            data = b""
+            while chunk := raw.recv(65536):
+                data += chunk
+        assert json.loads(data)["status"] == "ok"
+        assert writes == [len(data)]

@@ -3,10 +3,11 @@
 The constant-delay guarantees this repo reproduces survive only because
 of engineering invariants that no single test enumerates: the lock
 hierarchy declared in :data:`repro.concurrency.LOCK_ORDER`, seed-stable
-sharding (``stable_hash`` only), monotonic deadlines (no wall-clock
-reads in the core), ``finally``-guarded shared-memory publish/unlink,
-and an exception taxonomy the serving layer maps onto HTTP codes. This
-package machine-checks them, twice over:
+hashing (a ``PYTHONHASHSEED``-independent digest, never builtin
+``hash()``, on sharding/signature paths), monotonic deadlines (no
+wall-clock reads in the core), ``finally``-guarded shared-memory
+publish/unlink, and an exception taxonomy the serving layer maps onto
+HTTP codes. This package machine-checks them, twice over:
 
 * :mod:`repro.analysis.lint` — an AST-walking lint framework whose
   rules (:mod:`repro.analysis.rules`) encode the invariants statically;

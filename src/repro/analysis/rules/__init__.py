@@ -9,8 +9,9 @@ Rule modules:
   ``make_lock`` adoption (``lock-order`` / ``lock-cycle`` /
   ``lock-blocking`` / ``lock-unknown``).
 * :mod:`~repro.analysis.rules.determinism` — no wall-clock reads, no
-  unseeded randomness, ``stable_hash``-only sharding (``wall-clock`` /
-  ``unseeded-random`` / ``builtin-hash``).
+  unseeded randomness, no builtin ``hash()`` on sharding/signature
+  paths — a ``PYTHONHASHSEED``-independent digest instead (``wall-clock``
+  / ``unseeded-random`` / ``builtin-hash``).
 * :mod:`~repro.analysis.rules.hygiene` — shared-memory publish must be
   unlink-guarded, exception taxonomy (``shm-unguarded`` /
   ``bare-except`` / ``silent-except`` / ``http-mapping``).

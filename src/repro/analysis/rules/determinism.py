@@ -4,11 +4,12 @@ hashing on every sharding/signature path.
 The enumeration guarantees are only testable because runs are
 reproducible: deadlines are monotonic (:class:`repro.resilience.Deadline`
 wraps ``time.monotonic``), generators and the fault harness take
-explicit seeds, and shard/signature partitioning uses the
-``PYTHONHASHSEED``-independent :func:`repro.database.partition.stable_hash`
-(builtin ``hash()`` of strings changes per process, which would scatter
-one relation's tuples differently on every run — and across the *parent
-and its pool workers* within one run).
+explicit seeds, and anything hashed on a shard/signature/token path
+uses a ``PYTHONHASHSEED``-independent digest (``hashlib``, as the
+cursor-token fingerprints do, or ``zlib.crc32`` over a canonical byte
+encoding). Builtin ``hash()`` of strings changes per process, so it
+would give one value a different hash on every run — and across the
+*parent and its pool workers* within one run.
 """
 
 from __future__ import annotations
@@ -123,12 +124,12 @@ class UnseededRandomRule(Rule):
 
 @register
 class BuiltinHashRule(Rule):
-    """``stable_hash`` only on sharding/signature paths."""
+    """No builtin ``hash()`` on sharding/signature paths."""
 
     id = "builtin-hash"
     description = (
         "builtin hash() is PYTHONHASHSEED-dependent; sharding and "
-        "signature paths must use stable_hash"
+        "signature paths must use a PYTHONHASHSEED-independent digest"
     )
 
     def check(self, module: ModuleFile) -> Iterable[Finding]:
@@ -143,8 +144,8 @@ class BuiltinHashRule(Rule):
                 yield module.finding(
                     self.id,
                     node,
-                    "builtin hash() on a sharding/signature path; use "
-                    "stable_hash (repro.database.partition) so shard "
-                    "assignment survives PYTHONHASHSEED and process "
-                    "boundaries",
+                    "builtin hash() on a sharding/signature path; use a "
+                    "PYTHONHASHSEED-independent digest (hashlib, or "
+                    "zlib.crc32 over a canonical encoding) so the value "
+                    "survives PYTHONHASHSEED and process boundaries",
                 )

@@ -357,11 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         default="1",
         help="worker count (or 'auto' for one per CPU core): >1 fans "
-        "batch opens across a pool, shards the grounding of serving cold "
-        "opens, and runs fresh non-incremental cold preprocessing on the "
-        "zero-copy parallel pipeline with an auto-selected backend "
-        "(threads on free-threaded builds, shared-memory processes on "
-        "multi-core GIL builds, serial otherwise)",
+        "batch opens across a pool and runs the cold build of a "
+        "relation-renamed query on the zero-copy parallel pipeline with "
+        "an auto-selected backend (threads on free-threaded builds, "
+        "shared-memory processes on multi-core GIL builds, serial "
+        "otherwise); every other cold open builds serially",
     )
     p.add_argument(
         "--deadline-ms",

@@ -26,12 +26,7 @@ from .columns import (
 from .indexes import CountedGroupIndex, GroupIndex
 from .instance import Instance
 from .interner import Interner
-from .partition import (
-    partition_instance,
-    partition_rows,
-    shard_bounds,
-    stable_hash,
-)
+from .partition import shard_bounds
 from .relation import Relation
 
 __all__ = [
@@ -55,10 +50,7 @@ __all__ = [
     "random_instance_for",
     "random_relation",
     "live_segments",
-    "partition_instance",
-    "partition_rows",
     "shard_bounds",
-    "stable_hash",
     "system_segments",
     "random_uniform_hypergraph",
     "triangles_of",

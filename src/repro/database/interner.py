@@ -25,17 +25,11 @@ Treat both as read-only outside this class.
 
 from __future__ import annotations
 
-import pickle
 from array import array
 from itertools import islice
 from typing import Hashable, Iterable, Optional
 
 Value = Hashable
-
-#: flat-buffer export kinds for :meth:`Interner.export_table` — int64 when
-#: the whole decode table is machine ints, pickled values otherwise
-TABLE_INT64 = "int64"
-TABLE_PICKLE = "pickle"
 
 
 class Interner:
@@ -82,63 +76,6 @@ class Interner:
         for v in missing:
             ids[v] = len(ids)
         return array("q", map(ids.__getitem__, column))
-
-    def intern_table(self, values: Iterable[Value]) -> list[int]:
-        """Remap another interner's decode table into this id space.
-
-        Like :meth:`intern_column` but ids for unseen values are assigned
-        in *table order* (one dict probe per entry — tables hold distinct
-        values, so the set-dedup trick buys nothing): remapping a table
-        into an empty interner therefore yields the identity, which is
-        what lets the shard merge (:mod:`repro.yannakakis.parallel`) adopt
-        a lone shard's groupings without any per-row translation.
-        """
-        ids = self.ids
-        get = ids.get
-        out: list[int] = []
-        append = out.append
-        for v in values:
-            i = get(v)
-            if i is None:
-                i = len(ids)
-                ids[v] = i
-            append(i)
-        return out
-
-    def export_table(self) -> tuple[str, bytes]:
-        """The decode table as ``(kind, flat payload)`` for cheap
-        cross-process transport.
-
-        All-int tables (the overwhelmingly common case — synthetic and id
-        workloads) pack into a raw int64 buffer (:data:`TABLE_INT64`):
-        8 bytes per entry, no per-object pickle opcodes. Anything else
-        falls back to one pickle of the whole list
-        (:data:`TABLE_PICKLE`). :meth:`import_table` is the inverse.
-        """
-        values = self.values
-        try:
-            return TABLE_INT64, array("q", values).tobytes()
-        except (TypeError, OverflowError):
-            return TABLE_PICKLE, pickle.dumps(
-                values, protocol=pickle.HIGHEST_PROTOCOL
-            )
-
-    def import_table(self, kind: str, payload: bytes) -> list[int]:
-        """Remap an :meth:`export_table` payload into this id space.
-
-        The int64 kind is interned straight off a zero-copy
-        ``memoryview(...).cast('q')`` of the payload; the pickle kind
-        unpickles first. Returns the local→global id remap exactly like
-        :meth:`intern_table` (identity into a fresh interner).
-        """
-        if kind == TABLE_INT64:
-            return self.intern_table(memoryview(payload).cast("q"))
-        if kind == TABLE_PICKLE:
-            return self.intern_table(pickle.loads(payload))
-        raise ValueError(
-            f"unknown table payload kind {kind!r}; expected "
-            f"{TABLE_INT64!r} or {TABLE_PICKLE!r}"
-        )
 
     def intern(self, value: Value) -> int:
         """Intern one value (the delta path); decode table stays in sync."""

@@ -1,107 +1,20 @@
-"""Partitioning of instances into shards for parallel preprocessing.
+"""Range partitioning of grounded rows for parallel preprocessing.
 
 The cold preprocessing pass is the only super-linear-feeling phase left in
 the serving stack (everything warm is O(|Δ|) or O(page)), so it is the one
-worth spreading across cores. Two partitioning schemes serve two shapes of
-distribution:
-
-* **hash sharding** (:func:`partition_rows` / :func:`partition_instance`)
-  splits a relation's *tuple set* into ``k`` disjoint shards by a
-  **stable** tuple hash (:func:`stable_hash`, CRC-32 over a canonical
-  byte encoding). Stability matters: the builtin ``hash()`` of strings is
-  salted per process (``PYTHONHASHSEED``), so a parent and a spawned pool
-  worker could disagree about a tuple's shard — the regression suite
-  round-trips a partition through a spawned interpreter to pin this down.
-  This is the scheme for distributing *raw tuples* (the incremental cold
-  build's grounding stage, which ships shard instances to workers).
-* **range sharding** (:func:`shard_bounds`) cuts ``range(n)`` into ``k``
-  contiguous, balanced ``[start, stop)`` windows. This is the scheme for
-  the zero-copy parallel reducer: grounded rows already sit in flat id
-  columns, any index partition of distinct rows keeps the shard merge
-  dedup-free, and a contiguous window is a zero-copy
-  :meth:`~repro.database.columns.IdColumn.slice` — no hashing, no row
-  movement, perfect balance (±1).
-
-Properties the parallel reducer (:mod:`repro.yannakakis.parallel`) relies
-on: every row lands in exactly one shard (grounding's projection is
-injective on selection survivors, see :mod:`repro.yannakakis.grounding`,
-so per-shard groupings merge by plain key-wise concatenation with no dedup
-pass), and the assignment is deterministic across processes.
+worth spreading across cores. :func:`shard_bounds` cuts ``range(n)`` into
+``k`` contiguous, balanced ``[start, stop)`` windows. It is the one
+sharding scheme, used by the zero-copy parallel reducer
+(:mod:`repro.yannakakis.parallel`): grounded rows already sit in flat id
+columns, any index partition of distinct rows keeps the shard merge
+dedup-free (grounding's projection is injective on selection survivors,
+see :mod:`repro.yannakakis.grounding`, so per-shard groupings merge by
+plain key-wise concatenation), and a contiguous window is a zero-copy
+:meth:`~repro.database.columns.IdColumn.slice` — no hashing, no row
+movement, perfect balance (±1), and the same assignment in every process.
 """
 
 from __future__ import annotations
-
-import struct
-import zlib
-
-from .instance import Instance
-from .relation import Relation
-
-_INT64 = struct.Struct("<q")
-_FLOAT = struct.Struct("<d")
-_LEN = struct.Struct("<I")
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-
-
-def _encode(value, out: bytearray) -> None:
-    """Append a canonical, process-independent byte encoding of *value*.
-
-    Tag bytes keep distinct types and nestings from colliding; every
-    variable-length payload is length-prefixed. ``bool`` deliberately
-    encodes as its integer value — ``True == 1`` as a dict/set element,
-    so equal values must shard together. Unknown (but hashable) types
-    fall back to their ``repr``, which is deterministic for the types
-    that survive into relations.
-    """
-    if isinstance(value, int):  # bool included: True == 1 must co-shard
-        if _INT64_MIN <= value <= _INT64_MAX:
-            out += b"i"
-            out += _INT64.pack(value)
-        else:
-            payload = str(value).encode()
-            out += b"I"
-            out += _LEN.pack(len(payload))
-            out += payload
-    elif isinstance(value, str):
-        payload = value.encode("utf-8", "surrogatepass")
-        out += b"s"
-        out += _LEN.pack(len(payload))
-        out += payload
-    elif isinstance(value, bytes):
-        out += b"b"
-        out += _LEN.pack(len(value))
-        out += value
-    elif isinstance(value, float):
-        out += b"f"
-        out += _FLOAT.pack(value)
-    elif value is None:
-        out += b"n"
-    elif isinstance(value, tuple):
-        out += b"("
-        out += _LEN.pack(len(value))
-        for item in value:
-            _encode(item, out)
-        out += b")"
-    else:
-        payload = repr(value).encode("utf-8", "surrogatepass")
-        out += b"r"
-        out += _LEN.pack(len(payload))
-        out += payload
-
-
-def stable_hash(value) -> int:
-    """A process-independent 32-bit hash of a (possibly nested) tuple.
-
-    CRC-32 over the canonical encoding of :func:`_encode` — unlike the
-    builtin ``hash()`` it is unaffected by ``PYTHONHASHSEED``, so shard
-    assignment agrees between a parent and any spawned worker. Not a
-    cryptographic hash; it only needs uniformity and stability.
-    """
-    out = bytearray()
-    _encode(value, out)
-    return zlib.crc32(bytes(out))
 
 
 def shard_bounds(n: int, k: int) -> list[tuple[int, int]]:
@@ -122,40 +35,3 @@ def shard_bounds(n: int, k: int) -> list[tuple[int, int]]:
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def partition_rows(rows, k: int) -> list[list[tuple]]:
-    """Split an iterable of tuples into ``k`` disjoint hash shards.
-
-    Returns a list of ``k`` row lists (some possibly empty). ``k=1``
-    returns everything in one shard without hashing. Assignment uses
-    :func:`stable_hash`, so it is reproducible across processes and
-    interpreter restarts.
-    """
-    if k < 1:
-        raise ValueError("shard count must be positive")
-    if k == 1:
-        return [list(rows)]
-    shards: list[list[tuple]] = [[] for _ in range(k)]
-    for t in rows:
-        shards[stable_hash(t) % k].append(t)
-    return shards
-
-
-def partition_instance(instance: Instance, k: int) -> list[Instance]:
-    """Hash-partition every relation of *instance* into ``k`` shard
-    instances.
-
-    Shard ``i`` holds, for every relation symbol, a fresh
-    :class:`~repro.database.relation.Relation` (same arity, fresh uid —
-    shards have no version history in common with the source) containing
-    the source tuples whose stable hash lands in shard ``i``. The shards'
-    relations are disjoint and their union is the source instance.
-    """
-    if k < 1:
-        raise ValueError("shard count must be positive")
-    shards = [Instance() for _ in range(k)]
-    for symbol, relation in instance.relations.items():
-        for i, rows in enumerate(partition_rows(relation.tuples, k)):
-            shards[i].relations[symbol] = Relation(relation.arity, set(rows))
-    return shards

@@ -69,11 +69,11 @@ What the engine does *not* arbitrate is mutation of the instances
 themselves — callers mutating relations while other threads execute over
 them need an external reader/writer discipline, which the serving layer
 provides (see :class:`~repro.serving.manager.SessionManager`). With
-``workers > 1`` cold preprocessing additionally shards across a worker
-pool (:mod:`repro.yannakakis.parallel`): fresh non-incremental builds run
-the full parallel pipeline, and incremental (prepared/serving) builds —
-which keep their grounded columns for the counting reducer — distribute
-their grounding/interning stage.
+``workers > 1`` the fresh non-incremental builds — the private build of
+a relation-renamed plan hit — shard across a worker pool
+(:mod:`repro.yannakakis.parallel`). Incremental (prepared/serving)
+builds keep their grounded columns for the counting reducer and ground
+serially at any worker count.
 """
 
 from __future__ import annotations
@@ -806,23 +806,32 @@ class Engine:
         cold build is the same fused one, and the grounded columns are
         kept: the first delta builds the counting reducer from them, so
         a query that is never updated never pays for it.
-        Every build carries the engine's recovery context (retry/rebuild/
-        fallback bookkeeping) and the caller's *deadline*, which rides
-        the build's tick seam only — the enumerator itself outlives it.
+        With ``workers > 1`` on a parallel backend, a fresh build that is
+        neither incremental nor step-counted runs the sharded pipeline
+        on the engine's shard pool, under its recovery context
+        (retry/rebuild/fallback bookkeeping); every other build is serial
+        and builds no pool. The caller's *deadline* rides the build's
+        tick seam only — the enumerator itself outlives it.
         """
         normalized = plan.normalized
         trees = plan.ext_trees or (None,) * len(normalized.cqs)
-        # the full sharded pipeline covers fresh cold builds; incremental
-        # builds keep their grounded columns for the counting reducer, so
-        # they parallelize only their grounding stage (CDYEnumerator
-        # handles that off the `workers` argument); step-counted runs
-        # measure the canonical fused tick pattern
-        parallel_ok = self.workers > 1 and self.backend.kind != SERIAL
-        pipeline = (
-            "parallel"
-            if parallel_ok and not incremental and counter is None
-            else "fused"
-        )
+        # incremental builds keep their grounded columns for the counting
+        # reducer, and step-counted runs measure the canonical fused tick
+        # pattern: both run the serial fused pipeline
+        sharded = {}
+        if (
+            self.workers > 1
+            and self.backend.kind != SERIAL
+            and not incremental
+            and counter is None
+        ):
+            sharded = dict(
+                pipeline="parallel",
+                workers=self.backend.workers,
+                pool=self.backend.kind,
+                executor=self._executor(),
+                recovery=self._recovery,
+            )
         members = [
             CDYEnumerator(
                 cq,
@@ -831,12 +840,8 @@ class Engine:
                 counter=counter,
                 prebuilt_ext=tree,
                 incremental=incremental,
-                pipeline=pipeline,
-                workers=self.backend.workers,
-                pool=self.backend.kind,
-                executor=self._executor(),
                 deadline=deadline,
-                recovery=self._recovery,
+                **sharded,
             )
             for cq, tree in zip(normalized.cqs, trees)
         ]

@@ -17,8 +17,8 @@ a seeded, picklable list of :class:`FaultSpec` triggers matched by
 
 **Sites** are the named checkpoints the execution layers expose:
 ``"shard"`` (shard materialization workers, fired with the worker
-index), ``"ground"`` (shard grounding workers), and the parent-side
-phase names ``"grounding"`` / ``"dispatch"`` / ``"merge"`` consulted via
+index) and the parent-side phase names ``"grounding"`` /
+``"dispatch"`` / ``"merge"`` consulted via
 :func:`repro.runtime.fault_checkpoint`.
 
 **Attempts** make recovery testable without global mutable state: the

@@ -104,9 +104,11 @@ class SessionManager:
     that do not choose their own. ``workers`` sizes the pool
     :func:`~repro.serving.batch.submit_many` fans batch groups out over
     (1 = serial); when no engine is supplied the default engine is built
-    with ``Engine(workers=workers)`` so the parallel cold pipeline (and
+    with ``Engine(workers=workers)``, whose parallel cold pipeline (with
     its auto-selected backend, see :func:`~repro.runtime.select_backend`)
-    is sized consistently with batch fan-out.
+    runs only the cold builds of relation-renamed queries. Every other
+    open — the prepared, delta-maintained builds sessions page — builds
+    serially at any ``workers``.
 
     **Admission control.** ``max_inflight`` bounds concurrent
     opens/resumes in flight; ``max_cold_opens`` separately bounds the

@@ -37,13 +37,14 @@ a page. A page itself is one
 whose answer tuples are encoded straight to JSON arrays.
 
 Error mapping: malformed input (including schema/parse errors) → 400,
-unknown session or instance id → 404, a body read that stalls past the
-socket timeout → 408 (connection closed), fenced cursor → 409 with
-``{"fenced": true}`` (the client's cue to reopen), a body over the size
-cap → 413, a shed request (admission control full) → 503 with a
-``Retry-After`` header, a request that outran the per-request deadline →
-504, anything unexpected → 500 with the exception repr (never a dropped
-connection).
+unknown session or instance id → 404, a header or body read that stalls
+past the socket timeout → 408 (connection closed; a keep-alive
+connection that sends no next request closes without a reply), fenced
+cursor → 409 with ``{"fenced": true}`` (the client's cue to reopen), a
+body over the size cap → 413, a shed request (admission control full) →
+503 with a ``Retry-After`` header, a request that outran the per-request
+deadline → 504, anything unexpected → 500 with the exception repr (never
+a dropped connection).
 
 Start from the shell with ``python -m repro serve --data instance.json``.
 """
@@ -112,6 +113,23 @@ class ServingRequestHandler(BaseHTTPRequestHandler):
         """
         self.timeout = self.server.socket_timeout
         super().setup()
+
+    def parse_request(self) -> bool:
+        """Parse the request line and headers; answer 408 to a client that
+        stalls inside the headers.
+
+        The request line is already read when this runs, so a header read
+        that outlasts the socket timeout is a half-sent request: it gets
+        408 and the connection closes. (The stdlib would close it
+        silently; a keep-alive connection that sends no next request line
+        still does.)
+        """
+        try:
+            return super().parse_request()
+        except TimeoutError as exc:
+            self.close_connection = True
+            self._reply(408, {"error": f"request timed out: {exc}"})
+            return False
 
     def _reply(
         self, code: int, payload: dict, headers: dict | None = None

@@ -4,12 +4,7 @@ parallel sharded cold pipeline, constant-delay evaluator."""
 from .cdy import CDYEnumerator, enumerate_cq
 from .decide import decide_cq, decide_ucq
 from .fused import FusedNode, FusedReduction, fused_reduce
-from .parallel import (
-    parallel_ground_columnar,
-    parallel_reduce,
-    shard_ground,
-    shard_materialize_shm,
-)
+from .parallel import parallel_reduce, shard_materialize_shm
 from .grounding import (
     ColumnarAtom,
     GroundAtom,
@@ -36,9 +31,7 @@ __all__ = [
     "ground_atom_columnar",
     "ground_atoms",
     "ground_atoms_columnar",
-    "parallel_ground_columnar",
     "parallel_reduce",
     "semijoin",
-    "shard_ground",
     "shard_materialize_shm",
 ]

@@ -388,15 +388,15 @@ class CDYEnumerator:
     :meth:`node_rows`.
 
     ``incremental`` lets later :meth:`apply_deltas` calls maintain the
-    preprocessed state in place. The cold build runs the fused pipeline
-    (``pipeline`` is ignored, though ``workers > 1`` still shards the
-    grounding stage) and keeps the grounded id columns; the first
+    preprocessed state in place. The cold build runs the serial fused
+    pipeline (``pipeline``, ``workers``, ``pool`` and ``executor`` are
+    ignored) and keeps the grounded id columns; the first
     :meth:`apply_deltas` builds the
     :class:`~repro.yannakakis.reducer.IncrementalReducer` from them. Applying
     deltas invalidates any in-flight iterator over this enumerator.
-    ``executor`` lets a
-    long-lived caller (the engine) supply a reusable worker pool instead
-    of paying pool construction per build; it is never shut down here.
+    ``executor`` lets a long-lived caller (the engine) supply the parallel
+    pipeline a reusable worker pool instead of paying pool construction
+    per build; it is never shut down here.
 
     ``deadline`` and ``recovery`` (see :mod:`repro.resilience`) thread
     fault tolerance through the parallel cold build: the deadline is
@@ -477,30 +477,16 @@ class CDYEnumerator:
             self.interner: Interner | None = interner
             grounded = None
         elif parallel:
-            # workers ground their own shards; grounding preserves each
-            # atom's variable set, so the tree builds from the atoms alone
+            # parallel_reduce grounds later, inside the sharded build;
+            # grounding preserves each atom's variable set, so the tree
+            # builds from the atoms alone
             self.interner: Interner | None = Interner()
             grounded = None
         elif interned:
             self.interner = Interner()
-            if incremental and workers > 1 and counter is None:
-                # an incremental build keeps its grounded columns for the
-                # counting reducer the first delta builds, so it cannot
-                # run the sharded reducer (which never materializes them
-                # in one place); its grounding/interning stage still
-                # distributes across shards — this is what `workers`
-                # parallelizes on the serving cold path
-                from .parallel import parallel_ground_columnar
-
-                grounded = parallel_ground_columnar(
-                    cq, instance, self.interner, workers, pool,
-                    executor=executor, recovery=recovery,
-                    deadline=deadline,
-                )
-            else:
-                grounded = ground_atoms_columnar(
-                    cq, instance, self.interner, build_counter
-                )
+            grounded = ground_atoms_columnar(
+                cq, instance, self.interner, build_counter
+            )
         else:
             self.interner = None
             grounded = ground_atoms(cq, instance, self.counter)
@@ -712,10 +698,10 @@ class CDYEnumerator:
         deadline=None,
         recovery=None,
     ) -> None:
-        """The sharded pipeline: per-shard fused materialization in a
-        worker pool, interner reconciliation at merge, then the group-level
-        sweeps — adopted through the same path as the fused pipeline
-        (see :func:`~repro.yannakakis.parallel.parallel_reduce`).
+        """The sharded pipeline: global grounding, per-shard fused
+        materialization in a worker pool, a remap-free merge, then the
+        group-level sweeps — adopted through the same path as the fused
+        pipeline (see :func:`~repro.yannakakis.parallel.parallel_reduce`).
 
         A parallel build that fails for any non-deadline reason — the
         reducer's own per-shard ladder has already retried and

@@ -4,12 +4,8 @@ The fused cold pipeline (:mod:`repro.yannakakis.fused`) spends almost all
 of its time in one place: the per-row materialize+group pass that turns
 each join-tree atom node's grounded rows into its shared-key grouping
 ``{key: [residuals]}``. That pass is embarrassingly parallel under *any*
-partition of the rows, because grouping is a disjoint union. The original
-sharded design partitioned raw tuples, grounded each shard against a
-shard-*local* interner in the worker, and reconciled id spaces at merge —
-which meant every shard's rows were pickled out and every grouping (plus
-its decode table) pickled back. This module keeps the shape but moves all
-bulk data out of the task payloads:
+partition of the rows, because grouping is a disjoint union. This module
+shards only that pass, and keeps all bulk data out of the task payloads:
 
 1. **ground once, globally** — the parent columnar-grounds the whole
    instance into the enumerator's interner with flat, buffer-backed id
@@ -41,7 +37,12 @@ The result is a :class:`~repro.yannakakis.fused.FusedReduction` that the
 enumerator adopts through the same code path as the fused pipeline, so
 ``pipeline="parallel"`` is differentially indistinguishable from
 ``"fused"`` and ``"reference"`` (the concurrency suite asserts exactly
-that for ``k ∈ {1, 2, 4}`` under every backend).
+that for ``k ∈ {1, 2, 4}`` under every backend). It is the only sharded
+build: it serves fresh, non-incremental cold builds, which the engine
+runs for the private build of a relation-renamed plan hit. An
+incremental build keeps its grounded columns for the counting reducer
+its first delta builds, so it runs the serial fused pipeline at any
+worker count.
 
 **Backends.** ``pool`` accepts ``"auto"`` (default — delegate to
 :func:`~repro.runtime.select_backend`: serial on one core, threads on
@@ -87,7 +88,7 @@ from ..database.columns import AttachedBlock, IdColumn, SharedShardArena
 from ..database.indexes import tuple_selector
 from ..database.instance import Instance
 from ..database.interner import Interner
-from ..database.partition import partition_instance, shard_bounds
+from ..database.partition import shard_bounds
 from ..enumeration.steps import StepCounter, tick_or_none
 from ..hypergraph.jointree import ATOM, JoinTree
 from ..query.cq import CQ
@@ -250,165 +251,6 @@ def _dispatch_with_recovery(
         if deadline is not None:
             deadline.check("parallel:fallback")
     return results, pool_executor, own_executor
-
-
-# --------------------------------------------------------------------- #
-# incremental grounding distribution (hash shards, flat decode tables)
-
-
-def _remap_into(
-    table: tuple[str, bytes], interner: Interner
-) -> tuple[list[int], bool]:
-    """``(local→global id remap, is-identity)`` for one shard's exported
-    decode table — the single place the reconciliation invariant lives:
-    :meth:`~repro.database.interner.Interner.import_table` preserves table
-    order, so the first shard into a fresh interner remaps to the
-    identity and translation can be skipped."""
-    remap = interner.import_table(*table)
-    return remap, all(i == g for i, g in enumerate(remap))
-
-
-def shard_ground(
-    cq: CQ,
-    shard: Instance,
-    shard_index: int = 0,
-    faults=None,
-    attempt: int = 0,
-) -> tuple[tuple[str, bytes], list]:
-    """Columnar-ground one shard against a local interner (pool worker).
-
-    Returns ``(exported decode table, [(vars, columns, row_count) per
-    atom])``. The decode table travels as a flat buffer
-    (:meth:`~repro.database.interner.Interner.export_table`) and the
-    columns as buffer-backed :class:`~repro.database.columns.IdColumn`
-    values, whose pickling is a single ``array('q')`` payload — compact
-    for thread and process pools alike. *faults*, when given, fires at
-    the ``"ground"`` checkpoint with this shard's index and retry
-    *attempt* before any work happens.
-    """
-    if faults is not None:
-        faults.fire("ground", worker=shard_index, attempt=attempt)
-    interner = Interner()
-    grounded = ground_atoms_columnar(cq, shard, interner, backed=True)
-    return (
-        interner.export_table(),
-        [(g.vars, g.columns, g.row_count) for g in grounded],
-    )
-
-
-def parallel_ground_columnar(
-    cq: CQ,
-    instance: Instance,
-    interner: Interner,
-    workers: int = 2,
-    pool: str = "auto",
-    executor: Executor | None = None,
-    recovery: ShardRecovery | None = None,
-    faults=None,
-    deadline: "Deadline | None" = None,
-) -> list[ColumnarAtom]:
-    """Shard-parallel twin of
-    :func:`~repro.yannakakis.grounding.ground_atoms_columnar`.
-
-    Hash-partitions the instance (stable hashes — parent and spawned
-    workers agree, see :func:`~repro.database.partition.stable_hash`),
-    grounds every shard in a pool worker against a shard-local interner,
-    and merges: each shard's flat-exported decode table remaps into
-    *interner* via
-    :meth:`~repro.database.interner.Interner.import_table` and the id
-    columns concatenate per atom per position (one C-level ``map`` per
-    column for non-identity remaps, plain adoption otherwise). This is
-    what parallelizes the *incremental* (serving) cold build, which
-    keeps its grounded columns for the counting reducer the first delta
-    builds — only its grounding/interning stage distributes, and the
-    fused reduction runs over the merged columns. Shard dispatch runs
-    the same recovery ladder as :func:`parallel_reduce`: a failed shard
-    (worker crash, broken executor) is retried on a fresh pool, then grounds
-    serially in the parent — identical output, recorded through
-    *recovery*'s counters. *deadline* caps every retry backoff (and is
-    checked at each ladder rung), so a crashing shard cannot sleep a
-    request past its 504 budget.
-    """
-    backend = _resolve_backend(workers, pool, executor)
-    k = backend.workers
-    if faults is None:
-        faults = active_fault_hook()
-    rec = recovery if recovery is not None else ShardRecovery()
-    schema_instance = Instance(
-        {
-            symbol: instance.get(symbol, arity)
-            for symbol, arity in cq.schema.items()
-        }
-    )
-    if k == 1:
-        shards = [schema_instance]
-    else:
-        shards = partition_instance(schema_instance, k)
-    if k == 1 or backend.kind == SERIAL:
-        results = []
-        for i, shard in enumerate(shards):
-            try:
-                results.append(shard_ground(cq, shard, i, faults, 0))
-            except Exception:
-                result = None
-                for attempt in range(1, rec.retry.retries + 1):
-                    _backoff(rec.retry.delay(attempt), deadline)
-                    rec.note(shard_retries=1)
-                    try:
-                        result = shard_ground(cq, shard, i, faults, attempt)
-                        break
-                    except Exception:
-                        result = None
-                if result is None:
-                    rec.note(fallbacks=1)
-                    result = shard_ground(cq, shard)
-                results.append(result)
-    else:
-        pool_executor, own = _pool_executor(backend, executor)
-        try:
-
-            def _submit(ex: Executor, i: int, attempt: int):
-                return ex.submit(shard_ground, cq, shards[i], i, faults, attempt)
-
-            results, pool_executor, own = _dispatch_with_recovery(
-                len(shards),
-                _submit,
-                lambda i: shard_ground(cq, shards[i]),
-                backend,
-                pool_executor,
-                own,
-                rec,
-                deadline,
-                rec.note,
-            )
-        finally:
-            if own is not None:
-                own.shutdown(wait=True)
-
-    merged_cols: list[list[list[int]]] | None = None
-    row_counts: list[int] = []
-    atom_vars: list[tuple[Var, ...]] = []
-    for table, atoms in results:
-        remap, identity = _remap_into(table, interner)
-        getg = remap.__getitem__
-        if merged_cols is None:
-            merged_cols = [[[] for _ in columns] for _v, columns, _n in atoms]
-            row_counts = [0] * len(atoms)
-            atom_vars = [vars_ for vars_, _c, _n in atoms]
-        for index, (_vars, columns, row_count) in enumerate(atoms):
-            row_counts[index] += row_count
-            target = merged_cols[index]
-            for position, column in enumerate(columns):
-                if identity:
-                    target[position].extend(column)
-                else:
-                    target[position].extend(map(getg, column))
-    return [
-        ColumnarAtom(
-            atom, atom_vars[i], tuple(merged_cols[i]), row_counts[i]
-        )
-        for i, atom in enumerate(cq.atoms)
-    ]
 
 
 # --------------------------------------------------------------------- #

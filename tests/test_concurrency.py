@@ -31,13 +31,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.concurrency import KeyedLocks, LockedCounters, RWLock
-from repro.database import (
-    Instance,
-    Relation,
-    partition_instance,
-    partition_rows,
-    random_instance_for,
-)
+from repro.database import Instance, Relation, random_instance_for
 from repro.engine import Engine
 from repro.engine.cache import PlanCache
 from repro.engine.signature import structural_signature
@@ -284,33 +278,7 @@ def test_union_count_racing_a_patch_waits_for_it(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# partitioning + shard-merge differentials
-
-
-def test_partition_rows_is_a_partition():
-    rows = [(i, i * 7 % 13) for i in range(200)]
-    shards = partition_rows(rows, 4)
-    assert len(shards) == 4
-    flat = [t for shard in shards for t in shard]
-    assert sorted(flat) == sorted(rows)
-    again = partition_rows(rows, 4)
-    assert shards == again  # deterministic within a process
-
-
-def test_partition_instance_round_trips():
-    cq = parse_cq("Q(x, y) <- R(x, y), S(y, z)")
-    instance = random_instance_for(cq, n_tuples=150, domain_size=25, seed=9)
-    shards = partition_instance(instance, 3)
-    assert len(shards) == 3
-    for symbol, relation in instance.relations.items():
-        rebuilt: set = set()
-        for shard in shards:
-            part = shard.relations[symbol].tuples
-            assert not rebuilt & part  # disjoint
-            rebuilt |= part
-        assert rebuilt == relation.tuples
-    with pytest.raises(ValueError):
-        partition_instance(instance, 0)
+# shard-merge differentials
 
 
 #: query shapes for the shard-merge differential (constants, repeated
@@ -382,59 +350,57 @@ def test_parallel_pipeline_rejects_bad_configuration():
         CDYEnumerator(cq, instance, pipeline="sharded")
 
 
-def test_parallel_grounding_feeds_incremental_builds():
-    """An incremental enumerator built with sharded grounding answers,
-    probes and — the load-bearing part — delta-maintains identically to a
-    serially grounded one."""
-    cq = parse_cq("Q(x, y) <- R(x, y), S(y, z), T(z, w)")
+def test_engine_workers_builds_sessions_serially_without_a_pool():
+    """Sessions page prepared (incremental) builds, which ground serially
+    at any worker count: an ``Engine(workers=2)`` under a session manager
+    opens, pages and resumes exactly like a ``workers=1`` one, and never
+    builds its shard pool."""
     ucq = parse_ucq("Q(x, y) <- R(x, y), S(y, z), T(z, w)")
-    instance = random_instance_for(cq, n_tuples=200, domain_size=25, seed=6)
-    serial = CDYEnumerator(cq, instance, incremental=True)
-    sharded = CDYEnumerator(cq, instance, incremental=True, workers=3)
-    assert set(sharded) == set(serial) == evaluate_ucq(ucq, instance)
-    delta = {"R": ([(901, 902)], []), "S": ([(902, 903)], []),
-             "T": ([(903, 904)], [])}
-    for enum in (serial, sharded):
-        enum.apply_deltas(delta)
-    for symbol, (adds, _removes) in delta.items():
-        instance.get(symbol).apply_batch(adds, [])
-    expected = evaluate_ucq(ucq, instance)
-    assert set(sharded) == set(serial) == expected
-    assert (901, 902) in expected and sharded.contains((901, 902))
+    instance = random_instance_for(ucq, n_tuples=400, domain_size=40, seed=3)
 
+    def pages(engine):
+        manager = SessionManager(engine=engine)
+        manager.register(instance, "db")
+        session = manager.open(ucq, "db", page_size=25)
+        first = manager.fetch(session.session_id)
+        second = manager.fetch(session.session_id)
+        manager.close(session.session_id)
+        resumed = manager.resume(second.cursor)
+        rest = manager.fetch(resumed.session_id, 10_000)
+        return [first.answers, second.answers, rest.answers]
 
-def test_engine_workers_shards_the_serving_cold_path():
-    """Engine(workers>1) prepared/serving builds (the mainline cold open)
-    go through sharded grounding and stay differentially correct, warm
-    hits and delta-applies included."""
-    engine = Engine(workers=3)
-    ucq = parse_ucq("Q(x, y) <- R(x, y), S(y, z)")
-    cq = parse_cq("Q(x, y) <- R(x, y), S(y, z)")
-    instance = random_instance_for(cq, n_tuples=200, domain_size=25, seed=12)
-    assert set(engine.execute(ucq, instance)) == evaluate_ucq(ucq, instance)
-    assert engine.stats.prep_misses == 1
-    assert set(engine.execute(ucq, instance)) == evaluate_ucq(ucq, instance)
-    assert engine.stats.prep_hits == 1
-    instance.get("R").add((701, 702))
-    instance.get("S").add((702, 703))
-    answers = set(engine.execute(ucq, instance))
-    assert answers == evaluate_ucq(ucq, instance)
-    assert (701, 702) in answers
-    assert engine.stats.delta_applies == 1
+    engine = Engine(workers=2, pool="thread")
+    try:
+        got = pages(engine)
+        assert engine._shard_pool is None
+    finally:
+        engine.close()
+    expected = pages(Engine(workers=1))
+    assert got == expected
+    assert set(itertools.chain(*got)) == evaluate_ucq(ucq, instance)
 
 
 def test_engine_workers_routes_cold_builds_through_parallel_pipeline():
-    """An Engine with workers>1 answers identically to a serial engine."""
+    """An Engine with workers>1 builds a relation-renamed plan hit of a
+    tractable union on its shard pool and answers identically to a
+    serial engine."""
     ucq = parse_ucq(
-        "Q1(x, y) <- R(x, y), S(y, z) ; Q2(x, y) <- R(x, w), T(w, y)"
+        "Q1(x, y) <- R(x, y), S(y, z) ; Q2(x, y) <- R(x, y), T(y, w)"
     )
     instance = random_instance_for(
         parse_cq("Q(x, y) <- R(x, y), S(y, z), T(z, w)"),
         n_tuples=120, domain_size=15, seed=5,
     )
     serial = set(Engine().execute(ucq, instance))
-    parallel_engine = Engine(workers=3)
-    assert set(parallel_engine.execute(ucq, instance)) == serial
+    parallel_engine = Engine(workers=3, pool="thread")
+    parallel_engine.plan(parse_ucq(
+        "Q1(x, y) <- A(x, y), B(y, z) ; Q2(x, y) <- A(x, y), C(y, w)"
+    ))
+    try:
+        assert set(parallel_engine.execute(ucq, instance)) == serial
+        assert parallel_engine._shard_pool is not None
+    finally:
+        parallel_engine.close()
     assert serial == evaluate_ucq(ucq, instance)
     with pytest.raises(ValueError):
         Engine(workers=0)

@@ -499,10 +499,9 @@ def _non_members(answers, arity, domain, rng):
     return out
 
 
-@pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("query", CDY_QUERIES)
 @pytest.mark.parametrize("seed", range(3))
-def test_first_deltas_match_a_fresh_build(query, seed, workers):
+def test_first_deltas_match_a_fresh_build(query, seed):
     """After the first delta (which builds the reducer from the kept
     columns) and after the second (a plain patch), node rows, answers,
     count and membership equal a fresh build over the current data."""
@@ -511,9 +510,7 @@ def test_first_deltas_match_a_fresh_build(query, seed, workers):
     cq = ucq.cqs[0]
     symbols = sorted(cq.schema)
     instance = random_instance_for(ucq, n_tuples=60, domain_size=9, seed=seed)
-    enum = CDYEnumerator(
-        cq, instance, incremental=True, workers=workers, pool="thread"
-    )
+    enum = CDYEnumerator(cq, instance, incremental=True)
     for _ in range(2):
         deltas = {}
         while not deltas:

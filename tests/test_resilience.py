@@ -9,8 +9,9 @@ Covers the ISSUE-8 contract:
   ``/dev/shm`` segments leak;
 * the degradation ladder's last rung: an always-firing fault (every
   attempt) forces per-shard serial fallback, still with exact answers;
-* worker-crash recovery through the engine's incremental (sharded
-  grounding) path, with the ``degraded`` flag and recovery counters;
+* worker-crash recovery through the engine's sharded build (the cold
+  build of a relation-renamed plan hit), with the ``degraded`` flag and
+  recovery counters;
 * deadline propagation: expired budgets raise
   :class:`~repro.exceptions.DeadlineExceededError` out of builds and
   page fetches *before* anything is cached or consumed, and the engine
@@ -54,6 +55,13 @@ from repro.yannakakis.parallel import parallel_reduce
 from repro.database import Interner
 
 CHAOS_QUERY = "Q(x, y) <- R(x, y), S(y, z)"
+
+
+def _plan_renamed(engine: Engine) -> None:
+    """Plan CHAOS_QUERY's shape over other relation names, so executing
+    CHAOS_QUERY next is a relation-renamed plan hit: the one build an
+    engine with ``workers > 1`` runs on the sharded pipeline."""
+    engine.plan(parse_ucq("Q(x, y) <- R0(x, y), S0(y, z)"))
 
 
 def _chaos_instance(seed: int = 11, n: int = 300):
@@ -106,8 +114,8 @@ def test_retry_policy_is_deterministic_and_capped():
 def test_fault_plan_from_seed_is_deterministic_and_picklable():
     import pickle
 
-    a = FaultPlan.from_seed(7, workers=4, sites=("shard", "ground"))
-    b = FaultPlan.from_seed(7, workers=4, sites=("shard", "ground"))
+    a = FaultPlan.from_seed(7, workers=4, sites=("shard", "merge"))
+    b = FaultPlan.from_seed(7, workers=4, sites=("shard", "merge"))
     assert a.specs == b.specs
     clone = pickle.loads(pickle.dumps(a))
     assert clone.specs == tuple(a.specs) or list(clone.specs) == a.specs
@@ -120,10 +128,10 @@ def test_fault_plan_fires_by_kind():
     raising.fire("other", worker=1)  # wrong site: no-op
     with pytest.raises(FaultInjected):
         raising.fire("shard", worker=1)
-    crashing = FaultPlan().crash(site="ground")
+    crashing = FaultPlan().crash(site="shard")
     # in the installing process a crash raises instead of killing pytest
     with pytest.raises(WorkerCrashError):
-        crashing.fire("ground", worker=0)
+        crashing.fire("shard", worker=0)
     slow = FaultPlan().delay(1.0, site="merge", worker=None)
     slow.fire("merge")  # sleeps ~1ms, returns
     assert ("merge", None, 0, DELAY) in slow.fired
@@ -205,15 +213,16 @@ def test_every_attempt_fault_forces_serial_fallback():
     assert system_segments() == []
 
 
-def test_engine_recovers_from_ground_site_crash():
-    """The engine's incremental (prepared) builds shard only grounding;
-    a crash there must be retried on a rebuilt pool, answers intact,
-    with the degradation surfaced through cache_info()."""
+def test_engine_recovers_from_shard_site_crash():
+    """A worker crash in the engine's sharded build (a relation-renamed
+    plan hit) must be retried on a rebuilt pool, answers intact, with
+    the degradation surfaced through cache_info()."""
     cq, instance = _chaos_instance()
     reference = sorted(CDYEnumerator(cq, instance, pipeline="fused"))
     engine = Engine(workers=2, pool="process")
+    _plan_renamed(engine)
     try:
-        plan = FaultPlan().crash(site="ground", worker=0)
+        plan = FaultPlan().crash(site="shard", worker=0)
         with plan.installed():
             got = sorted(engine.execute(parse_ucq(CHAOS_QUERY), instance))
         assert got == reference
@@ -238,6 +247,7 @@ def test_engine_close_during_inflight_build_leaks_nothing():
     is closable twice."""
     cq, instance = _chaos_instance(n=500)
     engine = Engine(workers=2, pool="process")
+    _plan_renamed(engine)
     plan = FaultPlan().delay(300.0, site="shard", worker=None, attempt=None)
     outcome: list = []
 
@@ -252,6 +262,11 @@ def test_engine_close_during_inflight_build_leaks_nothing():
 
     thread = threading.Thread(target=build)
     thread.start()
+    limit = time.monotonic() + 10.0
+    while engine._shard_pool is None and time.monotonic() < limit:
+        time.sleep(0.01)
+    # the build must really be on the pool, or close() has nothing to race
+    assert engine._shard_pool is not None, "build never reached the shard pool"
     time.sleep(0.1)  # let the build reach the pool dispatch
     engine.close()
     thread.join(timeout=30)
@@ -351,7 +366,8 @@ def test_manager_health_reports_ok_then_degraded():
         manager = SessionManager(engine=engine)
         manager.register(instance, "db")
         assert manager.health()["status"] == "ok"
-        plan = FaultPlan().crash(site="ground", worker=0)
+        _plan_renamed(engine)
+        plan = FaultPlan().crash(site="shard", worker=0)
         with plan.installed():
             list(engine.execute(parse_ucq(CHAOS_QUERY), instance))
         health = manager.health()
@@ -471,8 +487,33 @@ def test_http_stalled_body_times_out_with_408():
         server.server_close()
 
 
+def test_http_stalled_headers_time_out_with_408():
+    """A client that sends the request line and stalls inside the headers
+    gets 408 and a closed connection; a keep-alive connection that sends
+    nothing at all is still closed without a reply."""
+    server, port = _start_server(socket_timeout=0.3)
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+            sock.settimeout(5)
+            response = b""
+            while chunk := sock.recv(4_096):  # until the server hangs up
+                response += chunk
+        head, _, body = response.decode("utf-8", "replace").partition(
+            "\r\n\r\n"
+        )
+        assert "408" in head.splitlines()[0]
+        assert "timed out" in json.loads(body)["error"]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.settimeout(5)
+            assert sock.recv(4_096) == b""
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 # --------------------------------------------------------------------- #
-# retry backoff capped by the request deadline (sharded grounding)
+# retry backoff capped by the request deadline
 
 
 @pytest.mark.parametrize("pool,workers", [("thread", 2), ("serial", 1)])
@@ -483,21 +524,23 @@ def test_crashing_shard_backoff_capped_by_deadline(pool, workers):
     to surface DeadlineExceededError within the budget's order of
     magnitude instead."""
     from repro.resilience import ShardRecovery
-    from repro.yannakakis.parallel import parallel_ground_columnar
 
     cq, instance = _chaos_instance(n=120)
-    plan = FaultPlan().crash(site="ground", worker=None, attempt=None)
+    probe = CDYEnumerator(cq, instance, pipeline="fused")
+    plan = FaultPlan().crash(site="shard", worker=None, attempt=None)
     glacial = RetryPolicy(
         retries=3, base_delay_s=30.0, factor=1.0, max_delay_s=30.0
     )
     started = time.monotonic()
     with plan.installed():
         with pytest.raises(DeadlineExceededError):
-            parallel_ground_columnar(
+            parallel_reduce(
+                probe.tree,
                 cq,
                 instance,
                 Interner(),
                 workers=workers,
+                decode_top=probe.ext.top_ids,
                 pool=pool,
                 recovery=ShardRecovery(retry=glacial),
                 deadline=Deadline(0.3),
@@ -507,17 +550,9 @@ def test_crashing_shard_backoff_capped_by_deadline(pool, workers):
 
 
 def test_ground_columnar_deadline_threads_from_enumerator():
-    """CDYEnumerator's incremental sharded-grounding call site passes
-    the build deadline through to parallel_ground_columnar (an expired
-    budget fails the build instead of being ignored)."""
+    """CDYEnumerator's incremental build grounds under the build
+    deadline (an expired budget fails the build instead of being
+    ignored)."""
     cq, instance = _chaos_instance(n=120)
     with pytest.raises(DeadlineExceededError):
-        CDYEnumerator(
-            cq,
-            instance,
-            pipeline="parallel",
-            incremental=True,
-            workers=2,
-            pool="thread",
-            deadline=Deadline(0.0),
-        )
+        CDYEnumerator(cq, instance, incremental=True, deadline=Deadline(0.0))
